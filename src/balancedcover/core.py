@@ -153,14 +153,8 @@ class CoverSolution:
         return float(self.exact_value(kind))
 
     def exact_value(self, kind: ObjectiveKind) -> Fraction:
-        n = self.num_probes
-        if kind is ObjectiveKind.CMIN:
-            return Fraction(self.cmin)
-        if kind is ObjectiveKind.CAVG:
-            return Fraction(self.cavg_num, n)
-        if kind is ObjectiveKind.DMAX:
-            return Fraction(self.dmax_x2, 2)
-        return Fraction(self.davg_num_x2, 2 * n)
+        num = getattr(self, _SCORE_FIELD[kind])
+        return Fraction(num, objective_denominator(kind, self.num_probes))
 
 
 def objective_denominator(kind: ObjectiveKind, num_probes: int) -> int:
@@ -174,6 +168,27 @@ def objective_denominator(kind: ObjectiveKind, num_probes: int) -> int:
     return 2 * num_probes
 
 
+_SCORE_FIELD = {
+    ObjectiveKind.CMIN: "cmin",
+    ObjectiveKind.CAVG: "cavg_num",
+    ObjectiveKind.DMAX: "dmax_x2",
+    ObjectiveKind.DAVG: "davg_num_x2",
+}
+
+
+def objective_scores(deg: np.ndarray, s: int, kind: ObjectiveKind) -> np.ndarray:
+    """Integer objective scores of integer degree arrays, reduced along the last axis.
+
+    The scores follow the stored conventions: cmin, cavg_num, dmax_x2
+    and davg_num_x2.  Divide by ``objective_denominator`` for the value.
+    """
+    if kind.maximize:
+        low = np.minimum(deg, s - deg)
+        return low.min(axis=-1) if kind is ObjectiveKind.CMIN else low.sum(axis=-1)
+    dev = np.abs(2 * deg - s)
+    return dev.max(axis=-1) if kind is ObjectiveKind.DMAX else dev.sum(axis=-1)
+
+
 def _normalize_selection(instance: Instance, selected: Iterable[int]) -> tuple[int, ...]:
     sel = tuple(sorted(int(i) for i in selected))
     m = instance.num_clones
@@ -183,6 +198,13 @@ def _normalize_selection(instance: Instance, selected: Iterable[int]) -> tuple[i
     if len(set(sel)) != len(sel):
         raise InputError("duplicate clone index in selection")
     return sel
+
+
+def _check_budget(instance: Instance, s) -> int:
+    s = int(s)
+    if not 1 <= s <= instance.num_clones:
+        raise InputError(f"budget s={s} must lie in [1, {instance.num_clones}]")
+    return s
 
 
 def compute_degrees(instance: Instance, selected: Iterable[int]) -> np.ndarray:
@@ -200,22 +222,15 @@ def evaluate(instance: Instance, selected: Iterable[int], budget: int) -> CoverS
     measure distance from s/2).  Larger selections are rejected.
     """
     sel = _normalize_selection(instance, selected)
-    s = int(budget)
-    if not 1 <= s <= instance.num_clones:
-        raise InputError(f"budget s={s} must lie in [1, {instance.num_clones}]")
+    s = _check_budget(instance, budget)
     if len(sel) > s:
         raise InputError(f"selection has {len(sel)} clones, exceeds budget s={s}")
     deg = compute_degrees(instance, sel)
-    low = np.minimum(deg, s - deg)
-    dev = np.abs(2 * deg - s)
     return CoverSolution(
         selected=sel,
         budget=s,
         degrees=tuple(int(d) for d in deg),
-        cmin=int(low.min()),
-        cavg_num=int(low.sum()),
-        dmax_x2=int(dev.max()),
-        davg_num_x2=int(dev.sum()),
+        **{field: int(objective_scores(deg, s, kind)) for kind, field in _SCORE_FIELD.items()},
     )
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Instance
+from .core import Instance, _check_budget
 from .errors import InputError
 from .simplex import EQ, GE, LE, solve_simplex
 
@@ -104,132 +104,53 @@ class FractionalSolution:
     stats: SolverStats
 
 
-def _check_budget(instance: Instance, s) -> int:
-    s = int(s)
-    if not 1 <= s <= instance.num_clones:
-        raise InputError(f"budget s={s} must lie in [1, {instance.num_clones}]")
-    return s
-
-
-def build_min_lp(instance: Instance, s: int) -> LpProblem:
-    s = _check_budget(instance, s)
-    a = instance.adjacency.astype(float)
-    m, n = a.shape
-    nvars = m + 1
-    A = np.zeros((2 * n + 1, nvars))
-    for j in range(n):
-        A[2 * j, :m] = -a[:, j]
-        A[2 * j, m] = 1.0
-        A[2 * j + 1, :m] = a[:, j] - 1.0
-        A[2 * j + 1, m] = 1.0
-    A[2 * n, :m] = 1.0
-    rhs = np.zeros(2 * n + 1)
-    rhs[2 * n] = float(s)
-    c = np.zeros(nvars)
-    c[m] = 1.0
-    lower = np.zeros(nvars)
-    upper = np.ones(nvars)
-    upper[m] = np.inf
-    return LpProblem(
-        formulation=Formulation.MINLP,
-        maximize=True,
-        c=c,
-        A=A,
-        relations=(LE,) * (2 * n + 1),
-        rhs=rhs,
-        lower=lower,
-        upper=upper,
-        var_names=tuple(f"x{i + 1}" for i in range(m)) + ("z",),
-        num_selection_vars=m,
-        objective_scale=(1, 1),
-        label=f"minlp(m={m}, n={n}, s={s})",
-    )
-
-
-def build_max_lp(instance: Instance, s: int) -> LpProblem:
-    s = _check_budget(instance, s)
-    a = instance.adjacency.astype(float)
-    m, n = a.shape
-    nvars = m + 1
-    A = np.zeros((2 * n + 1, nvars))
-    relations = []
-    rhs = np.zeros(2 * n + 1)
-    for j in range(n):
-        A[2 * j, :m] = a[:, j]
-        A[2 * j, m] = -1.0
-        relations.append(LE)
-        rhs[2 * j] = s / 2.0
-        A[2 * j + 1, :m] = a[:, j]
-        A[2 * j + 1, m] = 1.0
-        relations.append(GE)
-        rhs[2 * j + 1] = s / 2.0
-    A[2 * n, :m] = 1.0
-    relations.append(EQ)
-    rhs[2 * n] = float(s)
-    c = np.zeros(nvars)
-    c[m] = 1.0
-    lower = np.zeros(nvars)
-    upper = np.ones(nvars)
-    upper[m] = np.inf
-    return LpProblem(
-        formulation=Formulation.MAXLP,
-        maximize=False,
-        c=c,
-        A=A,
-        relations=tuple(relations),
-        rhs=rhs,
-        lower=lower,
-        upper=upper,
-        var_names=tuple(f"x{i + 1}" for i in range(m)) + ("z",),
-        num_selection_vars=m,
-        objective_scale=(1, 1),
-        label=f"maxlp(m={m}, n={n}, s={s})",
-    )
-
-
-def build_avg_lp(instance: Instance, s: int) -> LpProblem:
-    s = _check_budget(instance, s)
-    a = instance.adjacency.astype(float)
-    m, n = a.shape
-    nvars = m + n
-    A = np.zeros((2 * n + 1, nvars))
-    for j in range(n):
-        A[2 * j, :m] = -a[:, j]
-        A[2 * j, m + j] = 1.0
-        A[2 * j + 1, :m] = a[:, j] - 1.0
-        A[2 * j + 1, m + j] = 1.0
-    A[2 * n, :m] = 1.0
-    rhs = np.zeros(2 * n + 1)
-    rhs[2 * n] = float(s)
-    c = np.zeros(nvars)
-    c[m:] = 1.0
-    lower = np.zeros(nvars)
-    upper = np.concatenate([np.ones(m), np.full(n, np.inf)])
-    return LpProblem(
-        formulation=Formulation.AVGLP,
-        maximize=True,
-        c=c,
-        A=A,
-        relations=(LE,) * (2 * n + 1),
-        rhs=rhs,
-        lower=lower,
-        upper=upper,
-        var_names=tuple(f"x{i + 1}" for i in range(m)) + tuple(f"z{j + 1}" for j in range(n)),
-        num_selection_vars=m,
-        objective_scale=(1, n),
-        label=f"avglp(m={m}, n={n}, s={s})",
-    )
-
-
-_BUILDERS = {
-    Formulation.MINLP: build_min_lp,
-    Formulation.MAXLP: build_max_lp,
-    Formulation.AVGLP: build_avg_lp,
-}
-
-
 def build_lp(instance: Instance, s: int, formulation: Formulation) -> LpProblem:
-    return _BUILDERS[formulation](instance, s)
+    """Materialize one relaxation; probe j owns rows 2j and 2j+1, the budget row is last."""
+    s = _check_budget(instance, s)
+    a = instance.adjacency.astype(float)
+    m, n = a.shape
+    avg = formulation is Formulation.AVGLP
+    nz = n if avg else 1
+    A = np.zeros((2 * n + 1, m + nz))
+    rhs = np.zeros(2 * n + 1)
+    probes = np.arange(n)
+    zcol = m + (probes if avg else 0)
+    if formulation is Formulation.MAXLP:
+        # |deg_j - s/2| <= z as deg_j - z <= s/2 and deg_j + z >= s/2
+        A[0 : 2 * n : 2, :m] = a.T
+        A[1 : 2 * n : 2, :m] = a.T
+        A[2 * probes, zcol] = -1.0
+        rhs[: 2 * n] = s / 2.0
+        relations = (LE, GE) * n + (EQ,)
+    else:
+        # z_j <= deg_j and z_j <= sum_i x_i - deg_j
+        A[0 : 2 * n : 2, :m] = -a.T
+        A[1 : 2 * n : 2, :m] = a.T - 1.0
+        A[2 * probes, zcol] = 1.0
+        relations = (LE,) * (2 * n + 1)
+    A[2 * probes + 1, zcol] = 1.0
+    A[2 * n, :m] = 1.0
+    rhs[2 * n] = float(s)
+    c = np.zeros(m + nz)
+    c[m:] = 1.0
+    lower = np.zeros(m + nz)
+    upper = np.ones(m + nz)
+    upper[m:] = np.inf
+    z_names = tuple(f"z{j + 1}" for j in range(n)) if avg else ("z",)
+    return LpProblem(
+        formulation=formulation,
+        maximize=formulation is not Formulation.MAXLP,
+        c=c,
+        A=A,
+        relations=relations,
+        rhs=rhs,
+        lower=lower,
+        upper=upper,
+        var_names=tuple(f"x{i + 1}" for i in range(m)) + z_names,
+        num_selection_vars=m,
+        objective_scale=(1, n) if avg else (1, 1),
+        label=f"{formulation.value}(m={m}, n={n}, s={s})",
+    )
 
 
 def solve_lp(problem: LpProblem, *, tol: float = 1e-9, exact: bool = False) -> FractionalSolution:

@@ -1,13 +1,17 @@
 """Exact references for small instances, plus a Monte-Carlo tail estimator.
 
-Exhaustive enumeration over clone subsets, vectorized in chunks: a
-chunk of index combinations becomes a (chunk, s) array, fancy indexing
-pulls the clone rows, and one sum gives all degree vectors at once.
-Enumeration is lexicographic and improvements must be strict, so the
-reported witness is the lexicographically smallest optimal subset.
+Exhaustive enumeration over clone subsets runs through one chunked
+scan: a chunk of index combinations becomes a (chunk, k) array, fancy
+indexing pulls the clone rows, and one sum gives all degree vectors at
+once.  The optimum, all-objectives and decision oracles all consume
+that scan; ``exact_all_objectives`` scores every objective on each
+chunk's degrees, so it enumerates once.  Enumeration is lexicographic
+and improvements must be strict, so the reported witness is the
+lexicographically smallest optimal subset.
 
 Everything here refuses to run past a configurable subset budget
-(default 1e7) rather than silently grinding; the refusal carries the
+(default 1e7) rather than silently grinding; every budget is checked
+before the first subset is enumerated, and the refusal carries the
 offending count.
 """
 
@@ -15,12 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .core import Instance, ObjectiveKind, objective_denominator
+from .core import Instance, ObjectiveKind, _check_budget, objective_denominator, objective_scores
 from .errors import BudgetExceededError, InputError
 
 DEFAULT_BUDGET = 10_000_000
@@ -72,50 +76,33 @@ def _check_enumeration(m: int, s: int, budget: int) -> int:
     return count
 
 
-def _chunked_combinations(m: int, k: int):
-    it = itertools.combinations(range(m), k)
+def _scan(instance: Instance, k: int):
+    """Yield (idx, deg) per chunk of the size-k subsets, in lexicographic order.
+
+    ``idx`` is a (chunk, k) array of clone indices and ``deg`` the
+    matching (chunk, n) degree vectors; k = 0 yields the empty subset.
+    """
+    a = instance.adjacency.astype(np.int64)
+    it = itertools.combinations(range(instance.num_clones), k)
     while True:
         chunk = list(itertools.islice(it, _CHUNK))
         if not chunk:
             return
-        yield np.array(chunk, dtype=np.intp)
+        idx = np.array(chunk, dtype=np.intp)
+        yield idx, a[idx, :].sum(axis=1)
 
 
-def _objective_scores(deg: np.ndarray, s: int, kind: ObjectiveKind) -> np.ndarray:
-    # integer scores matching the doubled/numerator conventions
-    if kind is ObjectiveKind.CMIN:
-        return np.minimum(deg, s - deg).min(axis=1)
-    if kind is ObjectiveKind.CAVG:
-        return np.minimum(deg, s - deg).sum(axis=1)
-    if kind is ObjectiveKind.DMAX:
-        return np.abs(2 * deg - s).max(axis=1)
-    return np.abs(2 * deg - s).sum(axis=1)
-
-
-def _scan_size(instance: Instance, k: int, s: int, kind: ObjectiveKind):
-    """Best (score, witness) over subsets of size exactly k; lex-first wins."""
-    a = instance.adjacency.astype(np.int64)
-    m = instance.num_clones
-    best_score = None
-    best_witness = None
-    if k == 0:
-        deg = np.zeros((1, instance.num_probes), dtype=np.int64)
-        score = int(_objective_scores(deg, s, kind)[0])
-        return score, ()
-    for idx in _chunked_combinations(m, k):
-        deg = a[idx, :].sum(axis=1)
-        scores = _objective_scores(deg, s, kind)
-        pos = int(np.argmax(scores)) if kind.maximize else int(np.argmin(scores))
-        cand = int(scores[pos])
-        better = (
-            best_score is None
-            or (kind.maximize and cand > best_score)
-            or (not kind.maximize and cand < best_score)
-        )
-        if better:
-            best_score = cand
-            best_witness = tuple(int(i) for i in idx[pos])
-    return best_score, best_witness
+def _best(instance: Instance, k: int, s: int, kinds) -> list[tuple[int, tuple[int, ...]]]:
+    """Best (score, witness) per kind over subsets of size exactly k; lex-first wins."""
+    best = [(None, None)] * len(kinds)
+    for idx, deg in _scan(instance, k):
+        for i, kind in enumerate(kinds):
+            scores = objective_scores(deg, s, kind)
+            pos = int(np.argmax(scores) if kind.maximize else np.argmin(scores))
+            cand, score = int(scores[pos]), best[i][0]
+            if score is None or (cand > score if kind.maximize else cand < score):
+                best[i] = (cand, tuple(int(j) for j in idx[pos]))
+    return best
 
 
 def exact_optimum(
@@ -129,16 +116,21 @@ def exact_optimum(
     """Brute-force optimum at size exactly s (and optionally size <= s).
 
     Raises a budget error carrying the subset count when C(m, s), or
-    the at-most-s total, exceeds ``budget``.
+    the at-most-s total, exceeds ``budget``; both are checked before
+    any subset is enumerated.
     """
     m = instance.num_clones
-    s = int(s)
-    if not 1 <= s <= m:
-        raise InputError(f"budget s={s} must lie in [1, {m}]")
+    s = _check_budget(instance, s)
     count = _check_enumeration(m, s, budget)
     if include_at_most is None:
         include_at_most = objective.maximize
-    score, witness = _scan_size(instance, s, s, objective)
+    total = sum(math.comb(m, k) for k in range(s + 1)) if include_at_most else None
+    if include_at_most and total > budget:
+        raise BudgetExceededError(
+            f"enumerating all subsets of size <= {s} means {total} subsets, over the budget of {budget}",
+            count=total,
+        )
+    [(score, witness)] = _best(instance, s, s, [objective])
     result = ExactResult(
         objective=objective,
         s=s,
@@ -149,15 +141,9 @@ def exact_optimum(
     )
     if not include_at_most:
         return result
-    total = sum(math.comb(m, k) for k in range(s + 1))
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumerating all subsets of size <= {s} means {total} subsets, over the budget of {budget}",
-            count=total,
-        )
     best_score, best_witness = score, witness
     for k in range(s):
-        cand_score, cand_witness = _scan_size(instance, k, s, objective)
+        [(cand_score, cand_witness)] = _best(instance, k, s, [objective])
         # across sizes, ties go to the lexicographically smaller tuple
         # (a proper prefix counts as smaller)
         if (objective.maximize and cand_score > best_score) or (
@@ -166,13 +152,8 @@ def exact_optimum(
             best_score, best_witness = cand_score, cand_witness
         elif cand_score == best_score and cand_witness < best_witness:
             best_witness = cand_witness
-    return ExactResult(
-        objective=objective,
-        s=s,
-        optimum_num=score,
-        optimum_den=result.optimum_den,
-        witness=witness,
-        enumerated=count,
+    return replace(
+        result,
         optimum_num_at_most=best_score,
         witness_at_most=best_witness,
         enumerated_at_most=total,
@@ -182,10 +163,25 @@ def exact_optimum(
 def exact_all_objectives(
     instance: Instance, s: int, *, budget: int = DEFAULT_BUDGET
 ) -> dict[ObjectiveKind, ExactResult]:
-    """One enumeration pass worth of exact optima for all four objectives."""
+    """Exact optima at size exactly s for all four objectives from one enumeration pass.
+
+    Each chunk's degree vectors are computed once and scored for every
+    objective; each objective keeps its own lexicographically smallest
+    optimal witness, as ``exact_optimum(..., include_at_most=False)`` would.
+    """
+    s = _check_budget(instance, s)
+    count = _check_enumeration(instance.num_clones, s, budget)
+    kinds = list(ObjectiveKind)
     return {
-        kind: exact_optimum(instance, s, kind, budget=budget, include_at_most=False)
-        for kind in ObjectiveKind
+        kind: ExactResult(
+            objective=kind,
+            s=s,
+            optimum_num=score,
+            optimum_den=objective_denominator(kind, instance.num_probes),
+            witness=witness,
+            enumerated=count,
+        )
+        for kind, (score, witness) in zip(kinds, _best(instance, s, s, kinds))
     }
 
 
@@ -194,36 +190,20 @@ def perfect_balance_exists(instance: Instance, s: int, *, budget: int = DEFAULT_
 
     Requires even s; a probe degree equal to s/2 is impossible otherwise.
     """
-    m = instance.num_clones
-    s = int(s)
-    if not 1 <= s <= m:
-        raise InputError(f"budget s={s} must lie in [1, {m}]")
+    s = _check_budget(instance, s)
     if s % 2 != 0:
         raise InputError(f"perfect balance needs an even s, got {s}")
-    _check_enumeration(m, s, budget)
-    a = instance.adjacency.astype(np.int64)
-    half = s // 2
-    for idx in _chunked_combinations(m, s):
-        deg = a[idx, :].sum(axis=1)
-        if bool((deg == half).all(axis=1).any()):
-            return True
-    return False
+    _check_enumeration(instance.num_clones, s, budget)
+    return any(bool((deg == s // 2).all(axis=1).any()) for _, deg in _scan(instance, s))
 
 
 def size_s_cover_exists(instance: Instance, s: int, *, budget: int = DEFAULT_BUDGET) -> bool:
     """Does some subset of size exactly s leave every probe with degree in [1, s-1]?"""
-    m = instance.num_clones
-    s = int(s)
-    if not 1 <= s <= m:
-        raise InputError(f"budget s={s} must lie in [1, {m}]")
-    _check_enumeration(m, s, budget)
-    a = instance.adjacency.astype(np.int64)
-    for idx in _chunked_combinations(m, s):
-        deg = a[idx, :].sum(axis=1)
-        ok = (deg >= 1) & (deg <= s - 1)
-        if bool(ok.all(axis=1).any()):
-            return True
-    return False
+    s = _check_budget(instance, s)
+    _check_enumeration(instance.num_clones, s, budget)
+    return any(
+        bool(((deg >= 1) & (deg <= s - 1)).all(axis=1).any()) for _, deg in _scan(instance, s)
+    )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,15 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CoverSolution, Instance, ObjectiveKind, compute_degrees, evaluate
+from .core import (
+    CoverSolution,
+    Instance,
+    ObjectiveKind,
+    compute_degrees,
+    evaluate,
+    objective_denominator,
+    objective_scores,
+)
 from .errors import InputError
 from .lp import Formulation, FractionalSolution, solve_formulation
 
@@ -177,12 +185,8 @@ def _probabilities(algorithm: Algorithm, lp_solution: FractionalSolution, num_pr
 
 def _raw_objective(instance: Instance, selected: np.ndarray, s: int, kind: ObjectiveKind) -> float:
     deg = compute_degrees(instance, selected.tolist())
-    k = int(selected.size)
-    if kind is ObjectiveKind.CMIN:
-        return float(np.minimum(deg, k - deg).min())
-    if kind is ObjectiveKind.CAVG:
-        return float(np.minimum(deg, k - deg).sum()) / instance.num_probes
-    return float(np.abs(deg - s / 2.0).max())
+    target = int(selected.size) if kind.maximize else s
+    return float(objective_scores(deg, target, kind)) / objective_denominator(kind, instance.num_probes)
 
 
 def _drop_excess(selected: np.ndarray, count: int, x_star: np.ndarray, rng: np.random.Generator, policy: RepairPolicy) -> np.ndarray:
@@ -232,18 +236,8 @@ def _pad(
     for _ in range(need):
         cand_rows = a[pool, :].astype(np.int64)
         new_deg = deg[None, :] + cand_rows
-        if kind is ObjectiveKind.CMIN:
-            score = np.minimum(new_deg, s - new_deg).min(axis=1)
-            best = int(np.argmax(score))
-        elif kind is ObjectiveKind.CAVG:
-            score = np.minimum(new_deg, s - new_deg).sum(axis=1)
-            best = int(np.argmax(score))
-        elif kind is ObjectiveKind.DMAX:
-            score = np.abs(2 * new_deg - s).max(axis=1)
-            best = int(np.argmin(score))
-        else:
-            score = np.abs(2 * new_deg - s).sum(axis=1)
-            best = int(np.argmin(score))
+        score = objective_scores(new_deg, s, kind)
+        best = int(np.argmax(score) if kind.maximize else np.argmin(score))
         deg = new_deg[best]
         chosen.append(pool.pop(best))
     return np.sort(np.array(chosen, dtype=np.intp))
@@ -307,36 +301,6 @@ def _lp_for(instance: Instance, s: int, algorithm: Algorithm, lp_solution: Fract
     if len(lp_solution.x) != instance.num_clones:
         raise InputError("LP solution does not match the instance (wrong x* length)")
     return lp_solution
-
-
-def _round_single(instance, s, lp_solution, config, algorithm) -> CoverSolution:
-    lp_solution = _lp_for(instance, s, algorithm, lp_solution)
-    kind = ALGORITHM_OBJECTIVE[algorithm]
-    x_star = np.clip(np.asarray(lp_solution.x, dtype=float), 0.0, 1.0)
-    probs, _ = _probabilities(algorithm, lp_solution, instance.num_probes)
-    solution, _ = _single_round(instance, s, probs, x_star, kind, algorithm, config, trial=0)
-    return solution
-
-
-def round_rcm(instance: Instance, s: int, lp_solution: FractionalSolution, config: RoundingConfig) -> CoverSolution:
-    """One rcm trial (trial index 0 of the config seed)."""
-    return _round_single(instance, s, lp_solution, config, Algorithm.RCM)
-
-
-def round_rcm2(instance: Instance, s: int, lp_solution: FractionalSolution, config: RoundingConfig) -> CoverSolution:
-    return _round_single(instance, s, lp_solution, config, Algorithm.RCM2)
-
-
-def round_rdm(instance: Instance, s: int, lp_solution: FractionalSolution, config: RoundingConfig) -> CoverSolution:
-    return _round_single(instance, s, lp_solution, config, Algorithm.RDM)
-
-
-def round_rca(instance: Instance, s: int, lp_solution: FractionalSolution, config: RoundingConfig) -> CoverSolution:
-    return _round_single(instance, s, lp_solution, config, Algorithm.RCA)
-
-
-def round_rca2(instance: Instance, s: int, lp_solution: FractionalSolution, config: RoundingConfig) -> CoverSolution:
-    return _round_single(instance, s, lp_solution, config, Algorithm.RCA2)
 
 
 def solve_end_to_end(

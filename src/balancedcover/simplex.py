@@ -353,7 +353,6 @@ class _Engine:
     # ------------------------------------------------------------------
 
     def _finish(self, d) -> SimplexResult:
-        ncols = self.T0.shape[1]
         nonbasic = self.status != _BASIC
         if not self.exact:
             # refactorize: solve B xB = rhs - N x_N for drift-free basics
@@ -371,32 +370,19 @@ class _Engine:
         if self.exact:
             objective = sum((Fraction(ci) * xi for ci, xi in zip(c0.tolist(), x.tolist())), Fraction(0))
         else:
+            # snap drift of at most tol back onto the bounds; larger violations stay visible
+            x = np.where((x < lower0) & (x >= lower0 - self.tol), lower0, x)
+            x = np.where((x > upper0) & (x <= upper0 + self.tol), upper0, x)
             objective = float(np.dot(c0, x))
 
-        ax = A0.dot(x)
-        rp = 0.0
-        for i, rel in enumerate(rel0):
-            if rel == LE:
-                v = ax[i] - rhs0[i]
-            elif rel == GE:
-                v = rhs0[i] - ax[i]
-            else:
-                v = abs(ax[i] - rhs0[i])
-            rp = max(rp, float(max(0, v)))
-        rb = 0.0
-        for j in range(self.nstruct):
-            rb = max(rb, float(max(0, lower0[j] - x[j])), float(max(0, x[j] - upper0[j])))
-        rd = 0.0
-        for j in range(ncols):
-            if self.ub[j] <= self.lb[j]:
-                continue
-            if self.status[j] == _AT_LOWER:
-                v = max(0, -d[j])
-            elif self.status[j] == _AT_UPPER:
-                v = max(0, d[j])
-            else:
-                v = abs(d[j])
-            rd = max(rd, float(v))
+        rels = np.array(rel0)
+        row = A0.dot(x) - rhs0
+        row = np.where(rels == GE, -row, np.where(rels == EQ, abs(row), row))
+        rp = float(max(0, row.max()))
+        rb = float(max(0, (lower0 - x).max(), (x - upper0).max()))
+        wrong = np.where(self.status == _AT_LOWER, -d, np.where(self.status == _AT_UPPER, d, abs(d)))
+        wrong = wrong[self.ub > self.lb]
+        rd = float(max(0, wrong.max())) if wrong.size else 0.0
 
         return SimplexResult(
             x=x,

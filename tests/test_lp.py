@@ -12,11 +12,9 @@ from balancedcover import (
     InputError,
     Instance,
     ObjectiveKind,
-    build_avg_lp,
     build_lp,
-    build_max_lp,
-    build_min_lp,
     evaluate,
+    gen_random,
     solve_formulation,
     solve_lp,
     to_lp_text,
@@ -35,9 +33,41 @@ def brute_force(instance, s, kind):
     return best
 
 
+def per_probe_rows(instance, s, formulation):
+    """Loop reference for build_lp's constraint matrix and right-hand side."""
+    a = instance.adjacency.astype(float)
+    m, n = a.shape
+    avg = formulation is Formulation.AVGLP
+    A = np.zeros((2 * n + 1, m + (n if avg else 1)))
+    rhs = np.zeros(2 * n + 1)
+    for j in range(n):
+        z = m + j if avg else m
+        if formulation is Formulation.MAXLP:
+            A[2 * j, :m], A[2 * j, z] = a[:, j], -1.0
+            A[2 * j + 1, :m], A[2 * j + 1, z] = a[:, j], 1.0
+            rhs[2 * j] = rhs[2 * j + 1] = s / 2.0
+        else:
+            A[2 * j, :m], A[2 * j, z] = -a[:, j], 1.0
+            A[2 * j + 1, :m], A[2 * j + 1, z] = a[:, j] - 1.0, 1.0
+    A[2 * n, :m] = 1.0
+    rhs[2 * n] = s
+    return A, rhs
+
+
 class TestShapes:
+    def test_rows_match_per_probe_reference(self, golden_instance):
+        # Byte equality also pins the sign of every -0.0 entry.
+        rng = np.random.default_rng(97)
+        for inst in (golden_instance, random_instance(rng), random_instance(rng)):
+            s = inst.num_clones // 2 + 1
+            for form in Formulation:
+                prob = build_lp(inst, s, form)
+                A, rhs = per_probe_rows(inst, s, form)
+                assert prob.A.tobytes() == A.tobytes()
+                assert prob.rhs.tobytes() == rhs.tobytes()
+
     def test_min_lp(self, golden_instance):
-        prob = build_min_lp(golden_instance, 6)
+        prob = build_lp(golden_instance, 6, Formulation.MINLP)
         assert prob.formulation is Formulation.MINLP
         assert prob.maximize
         assert prob.num_rows == 2 * 7 + 1
@@ -51,14 +81,14 @@ class TestShapes:
         assert np.isinf(prob.upper[8])
 
     def test_max_lp(self, golden_instance):
-        prob = build_max_lp(golden_instance, 6)
+        prob = build_lp(golden_instance, 6, Formulation.MAXLP)
         assert prob.formulation is Formulation.MAXLP
         assert not prob.maximize
         assert prob.num_rows == 2 * 7 + 1
         assert prob.num_vars == 9
 
     def test_avg_lp(self, golden_instance):
-        prob = build_avg_lp(golden_instance, 6)
+        prob = build_lp(golden_instance, 6, Formulation.AVGLP)
         assert prob.formulation is Formulation.AVGLP
         assert prob.maximize
         assert prob.num_rows == 2 * 7 + 1
@@ -77,7 +107,7 @@ class TestShapes:
                     build_lp(golden_instance, s, form)
 
     def test_problem_arrays_read_only(self, golden_instance):
-        prob = build_min_lp(golden_instance, 6)
+        prob = build_lp(golden_instance, 6, Formulation.MINLP)
         with pytest.raises(ValueError):
             prob.A[0, 0] = 7.0
         with pytest.raises(ValueError):
@@ -155,11 +185,16 @@ class TestSolutionProperties:
             sol.x[0] = 0.5
 
     def test_no_negative_zero_reported(self):
-        # A MaxLP whose optimum is exactly zero must print as 0.0.
-        inst = Instance(np.array([[1, 0], [0, 1]], dtype=np.int8))
-        sol = solve_formulation(inst, 2, Formulation.MAXLP)
-        assert sol.z_star == 0.0
-        assert str(sol.z_star) == "0.0"
+        # A MaxLP whose optimum is exactly zero must print as 0.0, also
+        # when the float solve leaves z a few ulps below its bound.
+        cases = (
+            (Instance(np.array([[1, 0], [0, 1]], dtype=np.int8)), 2),
+            (gen_random(12, 4, 0.5, 5), 4),
+        )
+        for inst, s in cases:
+            sol = solve_formulation(inst, s, Formulation.MAXLP)
+            assert sol.z_star == 0.0
+            assert str(sol.z_star) == "0.0"
 
 
 class TestDominance:
@@ -199,7 +234,7 @@ class TestColumnDuplication:
 
 class TestLpText:
     def test_min_lp_text(self, golden_instance):
-        text = to_lp_text(build_min_lp(golden_instance, 6))
+        text = to_lp_text(build_lp(golden_instance, 6, Formulation.MINLP))
         assert text.startswith("\\ minlp(m=8, n=7, s=6)")
         assert "Maximize" in text
         assert "Subject To" in text
@@ -208,9 +243,9 @@ class TestLpText:
         assert text.endswith("End\n")
 
     def test_avg_lp_text_notes_scale(self, golden_instance):
-        text = to_lp_text(build_avg_lp(golden_instance, 6))
+        text = to_lp_text(build_lp(golden_instance, 6, Formulation.AVGLP))
         assert "reported optimum = file optimum * 1/7" in text
 
     def test_max_lp_text_minimizes(self, golden_instance):
-        text = to_lp_text(build_max_lp(golden_instance, 6))
+        text = to_lp_text(build_lp(golden_instance, 6, Formulation.MAXLP))
         assert "Minimize" in text

@@ -17,10 +17,12 @@ from balancedcover import (
     evaluate,
     exact_all_objectives,
     exact_optimum,
+    gen_random,
     perfect_balance_exists,
     size_s_cover_exists,
     x3c_instance,
 )
+from balancedcover import oracle
 from conftest import random_instance
 
 
@@ -163,6 +165,45 @@ class TestExactOptimum:
         # Opting out of the at-most pass makes the same call feasible.
         res = exact_optimum(inst, 12, ObjectiveKind.CMIN, include_at_most=False)
         assert res.optimum == 0
+
+    def test_refusals_enumerate_nothing(self, monkeypatch):
+        # Every budget is checked before the first chunk: with a scan
+        # that fails when started, each refusal must still come back.
+        def no_scan(*args):
+            raise AssertionError("enumeration started before the budget check")
+
+        monkeypatch.setattr(oracle, "_scan", no_scan)
+        inst = Instance(np.ones((25, 2), dtype=np.int8))
+        with pytest.raises(BudgetExceededError) as err:
+            exact_optimum(inst, 12, ObjectiveKind.CMIN)
+        assert err.value.count == sum(math.comb(25, k) for k in range(13))
+        for refuse in (exact_all_objectives, perfect_balance_exists, size_s_cover_exists):
+            with pytest.raises(BudgetExceededError) as err:
+                refuse(inst, 12, budget=1000)
+            assert err.value.count == math.comb(25, 12)
+
+    def test_one_pass_matches_per_objective_scans(self):
+        # C(18, 9) = 48620 subsets fill two chunks.  On the first matrix
+        # every optimum sits in chunk one and chunk two only ties it; on
+        # the second the cavg/davg optima sit in chunk two while the
+        # cmin/dmax ones stay in chunk one.
+        assert oracle._CHUNK < math.comb(18, 9) <= 2 * oracle._CHUNK
+        subsets = np.array(list(combinations(range(18), 9)))
+        for inst in (gen_random(18, 10, 0.5, 1), gen_random(18, 10, 0.2, 7)):
+            results = exact_all_objectives(inst, 9)
+            # unchunked reference: argmax/argmin return the first, i.e.
+            # lexicographically smallest, optimal subset
+            deg = inst.adjacency[subsets].sum(axis=1, dtype=np.int64)
+            margin, dev = np.minimum(deg, 9 - deg), np.abs(2 * deg - 9)
+            reference = {
+                ObjectiveKind.CMIN: margin.min(axis=1).argmax(),
+                ObjectiveKind.CAVG: margin.sum(axis=1).argmax(),
+                ObjectiveKind.DMAX: dev.max(axis=1).argmin(),
+                ObjectiveKind.DAVG: dev.sum(axis=1).argmin(),
+            }
+            for kind in ObjectiveKind:
+                assert results[kind] == exact_optimum(inst, 9, kind, include_at_most=False)
+                assert results[kind].witness == tuple(subsets[reference[kind]])
 
     def test_s_validation(self, golden_instance):
         with pytest.raises(InputError):

@@ -16,8 +16,6 @@ from balancedcover import (
     RepairPolicy,
     RoundingConfig,
     derive_trial_seed,
-    round_rcm,
-    round_rdm,
     solve_end_to_end,
     solve_formulation,
 )
@@ -197,14 +195,6 @@ class TestDeterminism:
         )
         assert long.outcomes[:2] == short.outcomes
 
-    def test_single_restart_equals_direct_call(self, golden_instance):
-        config = RoundingConfig(Algorithm.RCM, seed=23)
-        lp = solve_formulation(golden_instance, 6, Formulation.MINLP)
-        direct = round_rcm(golden_instance, 6, lp, config)
-        report = solve_end_to_end(golden_instance, 6, ObjectiveKind.CMIN, config, lp_solution=lp)
-        assert report.best == direct
-        assert report.best_trial == 0
-
     def test_more_restarts_never_worse(self, golden_instance):
         for restarts in (1, 3, 10):
             few = solve_end_to_end(
@@ -368,13 +358,13 @@ class TestValidation:
         lp = solve_formulation(golden_instance, 6, Formulation.MAXLP)
         config = RoundingConfig(Algorithm.RCM, seed=0)
         with pytest.raises(InputError, match="minlp"):
-            round_rcm(golden_instance, 6, lp, config)
+            solve_end_to_end(golden_instance, 6, ObjectiveKind.CMIN, config, lp_solution=lp)
 
     def test_wrong_x_length_rejected(self, golden_instance):
         lp = fake_lp(Formulation.MAXLP, 1.0, np.full(5, 0.5))
         config = RoundingConfig(Algorithm.RDM, seed=0)
         with pytest.raises(InputError, match="length"):
-            round_rdm(golden_instance, 6, lp, config)
+            solve_end_to_end(golden_instance, 6, ObjectiveKind.DMAX, config, lp_solution=lp)
 
     def test_restarts_validated(self):
         with pytest.raises(InputError):
