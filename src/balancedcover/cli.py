@@ -27,8 +27,10 @@ from .formats import (
     dump_result,
     names_path_for,
     read_matrix,
+    read_text,
     result_record,
     write_matrix,
+    write_text,
 )
 from .generators import (
     GeneratorKind,
@@ -62,13 +64,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as err:
-        raise InputError(f"cannot read {path}: {err}") from err
-
-
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
@@ -81,10 +76,10 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def cmd_build_matrix(args) -> int:
-    clones = parse_sequences(_read_text(args.clones), prefix="c", label=args.clones)
-    probes = parse_sequences(_read_text(args.probes), prefix="p", label=args.probes)
+    clones = parse_sequences(read_text(args.clones, "clone file"), prefix="c", label=args.clones)
+    probes = parse_sequences(read_text(args.probes, "probe file"), prefix="p", label=args.probes)
     policy = AmbiguityPolicy(args.ambiguity)
-    inst = build_instance(clones, probes, ambiguity=policy, matcher=args.matcher)
+    inst = build_instance(clones, probes, ambiguity=policy)
     write_matrix(
         args.out,
         inst,
@@ -119,7 +114,7 @@ def cmd_solve(args) -> int:
         repair_policy=RepairPolicy(args.repair),
     )
     t0 = time.perf_counter()
-    report = solve_end_to_end(inst, args.s, objective, config)
+    report = solve_end_to_end(inst, args.s, config)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     exact = report.best.exact_value(objective)
     record = result_record(
@@ -142,7 +137,7 @@ def cmd_solve(args) -> int:
     )
     text = dump_result(record)
     if args.out:
-        Path(args.out).write_text(text)
+        write_text(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -344,7 +339,7 @@ def cmd_bench(args) -> int:
                         run_seed = _mix_seed(seed, matrix_counter, s, alg_index, trial)
                         config = RoundingConfig(algorithm=alg, seed=run_seed, restarts=1)
                         t0 = time.perf_counter()
-                        report = solve_end_to_end(inst, s, kind, config, lp_solution=lp_sol)
+                        report = solve_end_to_end(inst, s, config, lp_solution=lp_sol)
                         wall_ms = (time.perf_counter() - t0) * 1000.0
                         value = report.best.value(kind)
                         rows.append(
@@ -370,7 +365,7 @@ def cmd_bench(args) -> int:
     writer = csv.DictWriter(buf, fieldnames=list(BENCH_COLUMNS), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    Path(args.out).write_text(buf.getvalue())
+    write_text(args.out, buf.getvalue())
 
     # aggregate: mean over trials per (matrix, s, algorithm) cell
     groups: dict[tuple, list[dict]] = {}
@@ -413,7 +408,7 @@ def cmd_bench(args) -> int:
             ]
         )
     summary_path = Path(str(args.out) + ".summary")
-    summary_path.write_text(sbuf.getvalue())
+    write_text(summary_path, sbuf.getvalue())
     print(f"wrote {args.out} ({len(rows)} rows) and {summary_path}")
     return 0
 
@@ -430,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("probes", help="FASTA (or one-per-line) probe sequences")
     p.add_argument("out", help="output matrix file (names sidecar written alongside)")
     p.add_argument("--ambiguity", choices=[a.value for a in AmbiguityPolicy], default="reject")
-    p.add_argument("--matcher", choices=["naive", "automaton"], default="naive")
     p.set_defaults(func=cmd_build_matrix)
 
     p = sub.add_parser("solve", help="LP relaxation plus randomized rounding")

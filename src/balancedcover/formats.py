@@ -111,26 +111,35 @@ def names_path_for(matrix_path: str | Path) -> Path:
     return Path(str(matrix_path) + ".names")
 
 
-def write_matrix(path: str | Path, instance: Instance, comments: tuple[str, ...] = (), with_names: bool = True) -> None:
-    path = Path(path)
-    path.write_text(format_matrix(instance, comments))
-    if with_names:
-        names_path_for(path).write_text(format_names(instance))
+def read_text(path: str | Path, what: str) -> str:
+    """Read a text file; an unreadable or undecodable file is an InputError naming the path."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise InputError(f"cannot read {what} {path}: {err}") from err
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write a text file; a failed write is an InputError naming the path."""
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err}") from err
+
+
+def write_matrix(path: str | Path, instance: Instance, comments: tuple[str, ...] = ()) -> None:
+    write_text(path, format_matrix(instance, comments))
+    write_text(names_path_for(path), format_names(instance))
 
 
 def read_matrix(path: str | Path) -> Instance:
     """Load a matrix file, picking up the names sidecar when present."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as err:
-        raise InputError(f"cannot read matrix file {path}: {err}") from err
-    a = parse_matrix(text, label=str(path))
+    a = parse_matrix(read_text(path, "matrix file"), label=str(path))
     clone_names = probe_names = None
     sidecar = names_path_for(path)
     if sidecar.exists():
         clone_names, probe_names = parse_names(
-            sidecar.read_text(), a.shape[0], a.shape[1], label=str(sidecar)
+            read_text(sidecar, "names file"), a.shape[0], a.shape[1], label=str(sidecar)
         )
     return Instance(a, clone_names=clone_names, probe_names=probe_names)
 

@@ -170,7 +170,8 @@ def gen_x3c(
     if plant_cover:
         perm = rng.permutation(universe_size)
         chosen = [tuple(sorted(int(e) for e in perm[3 * i : 3 * i + 3])) for i in range(m_prime)]
-    pool = [t for t in all_triples if t not in set(chosen)]
+    planted = set(chosen)
+    pool = [t for t in all_triples if t not in planted]
     extra = num_triples - len(chosen)
     picks = rng.choice(len(pool), size=extra, replace=False)
     chosen += [pool[int(i)] for i in picks]

@@ -150,17 +150,13 @@ def build_instance(
     clones: Sequence[SequenceRecord],
     probes: Sequence[SequenceRecord],
     ambiguity: AmbiguityPolicy = AmbiguityPolicy.REJECT,
-    matcher: str = "naive",
 ) -> Instance:
     """Build the clone-probe adjacency matrix from sequence records.
 
-    ``matcher`` selects the substring engine: "naive" scans each
-    (clone, probe) pair, "automaton" builds one multi-pattern automaton
-    over all probes and their reverse complements and scans each clone
-    once.  Both produce identical matrices.
+    One multi-pattern automaton over all probes and their reverse
+    complements scans each clone once; entry (i, j) is 1 exactly when
+    ``matches`` holds for clone i and probe j.
     """
-    if matcher not in ("naive", "automaton"):
-        raise InputError(f"unknown matcher {matcher!r}")
     if not clones:
         raise InputError("no clones")
     if not probes:
@@ -176,24 +172,19 @@ def build_instance(
             raise InputError(f"sequence {rec.name!r} is empty")
     m, n = len(norm_clones), len(norm_probes)
     matrix = np.zeros((m, n), dtype=np.int8)
-    if matcher == "naive":
-        for i, clone in enumerate(norm_clones):
-            for j, probe in enumerate(norm_probes):
-                if _matches_normalized(clone.bases, probe.bases):
-                    matrix[i, j] = 1
-    else:
-        patterns = []
-        for j, probe in enumerate(norm_probes):
-            if "N" in probe.bases:
-                continue
-            patterns.append((probe.bases, j))
-            rc = _reverse_complement_lenient(probe.bases)
-            if rc != probe.bases:
-                patterns.append((rc, j))
-        automaton = _AhoCorasick(patterns)
-        for i, clone in enumerate(norm_clones):
-            for j in automaton.scan(clone.bases):
-                matrix[i, j] = 1
+    patterns = []
+    for j, probe in enumerate(norm_probes):
+        # a probe containing 'N' never matches, so it gets no pattern
+        if "N" in probe.bases:
+            continue
+        patterns.append((probe.bases, j))
+        rc = _reverse_complement_lenient(probe.bases)
+        if rc != probe.bases:
+            patterns.append((rc, j))
+    automaton = _AhoCorasick(patterns)
+    for i, clone in enumerate(norm_clones):
+        for j in automaton.scan(clone.bases):
+            matrix[i, j] = 1
     return Instance(
         matrix,
         clone_names=[r.name for r in norm_clones],

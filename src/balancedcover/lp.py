@@ -153,7 +153,7 @@ def build_lp(instance: Instance, s: int, formulation: Formulation) -> LpProblem:
     )
 
 
-def solve_lp(problem: LpProblem, *, tol: float = 1e-9, exact: bool = False) -> FractionalSolution:
+def solve_lp(problem: LpProblem, *, exact: bool = False) -> FractionalSolution:
     """Solve a built LP and report the scaled optimum and x* slice.
 
     Repeated calls on an equal problem return bit-identical results:
@@ -168,18 +168,13 @@ def solve_lp(problem: LpProblem, *, tol: float = 1e-9, exact: bool = False) -> F
         problem.lower,
         problem.upper,
         maximize=problem.maximize,
-        tol=tol,
         exact=exact,
     )
     num, den = problem.objective_scale
-    if exact:
-        z = res.objective * Fraction(num, den)
-    else:
-        # + 0.0 turns an IEEE -0.0 into +0.0 for clean reporting
-        z = res.objective * num / den + 0.0
+    # exact for a Fraction; for a float, + 0 turns an IEEE -0.0 into +0.0 for clean reporting
+    z = res.objective * num / den + 0
     x = res.x[: problem.num_selection_vars].copy()
-    if x.dtype != object:
-        x.setflags(write=False)
+    x.setflags(write=False)
     stats = SolverStats(
         iterations=res.iterations,
         basis=res.basis,
@@ -195,10 +190,9 @@ def solve_formulation(
     s: int,
     formulation: Formulation,
     *,
-    tol: float = 1e-9,
     exact: bool = False,
 ) -> FractionalSolution:
-    return solve_lp(build_lp(instance, s, formulation), tol=tol, exact=exact)
+    return solve_lp(build_lp(instance, s, formulation), exact=exact)
 
 
 def _term(coef: float, name: str) -> str:

@@ -306,25 +306,16 @@ def _lp_for(instance: Instance, s: int, algorithm: Algorithm, lp_solution: Fract
 def solve_end_to_end(
     instance: Instance,
     s: int,
-    objective: ObjectiveKind,
     config: RoundingConfig,
     lp_solution: FractionalSolution | None = None,
 ) -> RoundingReport:
     """LP-solve (unless given one), then round with restarts, keep the best.
 
-    davg has no rounding algorithm of its own: cavg and davg determine
-    each other (davg = s/2 - cavg), so maximize cavg via rca/rca2.
+    The best selection is judged by the objective the algorithm targets,
+    ``ALGORITHM_OBJECTIVE[config.algorithm]``.  davg has no rounding
+    algorithm of its own: cavg and davg determine each other
+    (davg = s/2 - cavg), so maximize cavg via rca/rca2.
     """
-    if objective is ObjectiveKind.DAVG:
-        raise InputError(
-            "no rounding algorithm targets davg; use rca/rca2 on cavg "
-            "(davg = s/2 - cavg determines it)"
-        )
-    if ALGORITHM_OBJECTIVE[config.algorithm] is not objective:
-        raise InputError(
-            f"algorithm {config.algorithm.value} targets "
-            f"{ALGORITHM_OBJECTIVE[config.algorithm].value}, not {objective.value}"
-        )
     lp_solution = _lp_for(instance, s, config.algorithm, lp_solution)
     kind = ALGORITHM_OBJECTIVE[config.algorithm]
     x_star = np.clip(np.asarray(lp_solution.x, dtype=float), 0.0, 1.0)

@@ -12,14 +12,18 @@ artificial sum before the real objective runs.
 Pivoting is deterministic: Dantzig pricing (most negative reduced cost,
 ties to the lowest column index) with the textbook ratio test including
 bound flips, switching to Bland's rule after a run of degenerate pivots
-and back once progress resumes.  The same code path runs in exact
-arithmetic over `fractions.Fraction` (Bland's rule throughout, zero
-tolerances), which is practical for small systems and used to
-cross-check the float path.
+and back once progress resumes.  Reduced costs are recomputed from the
+tableau every 512 iterations.  Float comparisons use absolute
+tolerances (1e-9 on reduced costs and ratio ties).
 
-Float comparisons use an absolute tolerance (default 1e-9); basic
-variable values are recomputed from a fresh factorization of the final
-basis to shed accumulated drift.
+One engine body runs in float or in exact arithmetic over
+`fractions.Fraction`; every array takes the tableau's dtype.  Exact
+mode, practical for small systems and used to cross-check the float
+path, differs only in four places: the inputs are converted to
+Fractions, every tolerance is zero, Bland's rule runs throughout, and
+the final step skips the two float-only repairs (basic values
+recomputed from a fresh factorization of the final basis to shed
+drift, then drift of at most 1e-9 snapped back onto the bounds).
 """
 
 from __future__ import annotations
@@ -67,11 +71,10 @@ def solve_simplex(
     upper,
     *,
     maximize: bool = False,
-    tol: float = 1e-9,
     exact: bool = False,
     max_iterations: int | None = None,
 ) -> SimplexResult:
-    engine = _Engine(c, A, relations, rhs, lower, upper, maximize, tol, exact, max_iterations)
+    engine = _Engine(c, A, relations, rhs, lower, upper, maximize, exact, max_iterations)
     return engine.solve()
 
 
@@ -88,7 +91,7 @@ def _to_exact(arr) -> np.ndarray:
 
 
 class _Engine:
-    def __init__(self, c, A, relations, rhs, lower, upper, maximize, tol, exact, max_iterations):
+    def __init__(self, c, A, relations, rhs, lower, upper, maximize, exact, max_iterations):
         A = np.array(A, dtype=float)
         if A.ndim != 2 or A.shape[0] < 1:
             raise SolverError("constraint matrix must be 2-d with at least one row")
@@ -116,8 +119,7 @@ class _Engine:
         if bad:
             raise SolverError(f"unknown relation {bad.pop()!r}")
 
-        self.orig = (c, A.copy(), relations, rhs.copy(), lower, upper)
-        self.maximize = bool(maximize)
+        self.orig = (A.copy(), relations, rhs.copy(), lower, upper)
         self.exact = bool(exact)
         self.nrows = nrows
         self.nstruct = nstruct
@@ -144,27 +146,18 @@ class _Engine:
         sense = -1.0 if maximize else 1.0
         cost = np.concatenate([sense * c, np.zeros(nslack)])
 
+        # reduced-cost and ratio-tie, pivot, degenerate-step and phase-1 feasibility tolerances
+        tols = (1e-9, 1e-10, 1e-11, 1e-7 * max(1.0, float(np.abs(rhs).max())))
         if exact:
-            W = _to_exact(W)
-            rhs_w = _to_exact(rhs)
-            lb = _to_exact(lb)
-            ub = _to_exact(ub)
-            cost = _to_exact(cost)
-            self.tol = Fraction(0)
-            self.pivtol = Fraction(0)
-            self.tie_tol = Fraction(0)
-            self.degen_tol = Fraction(0)
-        else:
-            rhs_w = rhs.copy()
-            self.tol = float(tol)
-            self.pivtol = 1e-10
-            self.tie_tol = float(tol)
-            self.degen_tol = 1e-11
+            c, W, rhs, lb, ub, cost = (_to_exact(v) for v in (c, W, rhs, lb, ub, cost))
+            tols = (0, 0, 0, 0)
+        self.tol, self.pivtol, self.degen_tol, self.feas_tol = tols
+        self.c = c
 
         # starting point: everything nonbasic at its lower bound
         vals = lb.copy()
         status = np.full(ncols0, _AT_LOWER, dtype=np.int8)
-        resid = rhs_w - W.dot(vals)
+        resid = rhs - W.dot(vals)
         basis = np.full(nrows, -1, dtype=np.intp)
         slack_pos = {row: k for k, row in enumerate(le_rows)}
         art_rows = []
@@ -177,15 +170,15 @@ class _Engine:
                 art_rows.append(i)
         nart = len(art_rows)
         if nart:
-            art = _to_exact(np.zeros((nrows, nart))) if exact else np.zeros((nrows, nart))
+            art = np.zeros((nrows, nart), dtype=W.dtype)
             for k, i in enumerate(art_rows):
                 if resid[i] < 0:
                     W[i] = -W[i]
-                    rhs_w[i] = -rhs_w[i]
+                    rhs[i] = -rhs[i]
                     resid[i] = -resid[i]
-                art[i, k] = 1 if exact else 1.0
+                art[i, k] = 1
                 basis[i] = ncols0 + k
-            zeros_art = _to_exact(np.zeros(nart)) if exact else np.zeros(nart)
+            zeros_art = np.zeros(nart, dtype=W.dtype)
             W = np.concatenate([W, art], axis=1)
             lb = np.concatenate([lb, zeros_art])
             ub = np.concatenate([ub, np.full(nart, math.inf, dtype=ub.dtype)])
@@ -193,12 +186,11 @@ class _Engine:
             vals = np.concatenate([vals, zeros_art])
             status = np.concatenate([status, np.full(nart, _BASIC, dtype=np.int8)])
 
-        self.rels = rels
         self.ncols0 = ncols0
         self.nart = nart
         self.T = W.copy()
         self.T0 = W
-        self.rhs_w = rhs_w
+        self.rhs_w = rhs
         self.lb = lb
         self.ub = ub
         self.cost = cost
@@ -216,19 +208,18 @@ class _Engine:
 
     def solve(self) -> SimplexResult:
         if self.nart:
-            phase1 = np.zeros(self.T.shape[1]) if not self.exact else _to_exact(np.zeros(self.T.shape[1]))
-            phase1[self.ncols0 :] = 1 if self.exact else 1.0
+            phase1 = np.zeros(self.T.shape[1], dtype=self.T.dtype)
+            phase1[self.ncols0 :] = 1
             self._run(phase1)
             art_sum = sum(
                 self.xB[i] for i in range(self.nrows) if self.basis[i] >= self.ncols0
             )
-            feas_tol = self.tol if self.exact else 1e-7 * max(1.0, float(np.abs(self.rhs_w).max()))
-            if art_sum > feas_tol:
+            if art_sum > self.feas_tol:
                 raise SolverError(f"infeasible constraint system (phase-1 residual {float(art_sum):.3e})")
             self._drive_out_artificials()
             # freeze artificials at zero so phase 2 can never revive them
-            self.ub[self.ncols0 :] = 0 if self.exact else 0.0
-            self.vals[self.ncols0 :] = 0 if self.exact else 0.0
+            self.ub[self.ncols0 :] = 0
+            self.vals[self.ncols0 :] = 0
         d = self._run(self.cost)
         return self._finish(d)
 
@@ -251,7 +242,7 @@ class _Engine:
                 continue
             leave = self.basis[r]
             self.status[leave] = _AT_LOWER
-            self.vals[leave] = 0 if self.exact else 0.0
+            self.vals[leave] = 0
             self.status[e] = _BASIC
             self.basis[r] = e
             self.xB[r] = self.vals[e]
@@ -262,14 +253,14 @@ class _Engine:
     def _run(self, cost):
         T = self.T
         d = cost - cost[self.basis].dot(T)
-        bland = self.exact
         degen_run = 0
         degen_limit = 100 + self.nrows
         while True:
             if self.iterations > self.max_iterations:
                 raise SolverError(f"simplex stalled after {self.iterations} iterations")
-            if not self.exact and self.iterations and self.iterations % 512 == 0:
+            if self.iterations and self.iterations % 512 == 0:
                 d = cost - cost[self.basis].dot(T)
+            bland = self.exact or degen_run >= degen_limit
             movable = self.ub > self.lb
             elig = movable & (
                 ((self.status == _AT_LOWER) & (d < -self.tol))
@@ -287,7 +278,7 @@ class _Engine:
             w = sigma * col
             bl = self.lb[self.basis]
             bu = self.ub[self.basis]
-            ratios = np.full(self.nrows, math.inf, dtype=object if self.exact else float)
+            ratios = np.full(self.nrows, math.inf, dtype=T.dtype)
             pos = w > self.pivtol
             neg = w < -self.pivtol
             if pos.any():
@@ -306,9 +297,8 @@ class _Engine:
                 self.vals[e] = self.ub[e] if sigma > 0 else self.lb[e]
                 self.iterations += 1
                 degen_run = 0
-                bland = self.exact
                 continue
-            cand = np.flatnonzero(ratios <= rmin + self.tie_tol)
+            cand = np.flatnonzero(ratios <= rmin + self.tol)
             r = -1
             if bland:
                 for i in cand.tolist():
@@ -333,22 +323,16 @@ class _Engine:
             self._pivot(r, e)
             d = d - d[e] * T[r]
             self.iterations += 1
-            if t <= self.degen_tol:
-                degen_run += 1
-                if degen_run >= degen_limit:
-                    bland = True
-            else:
-                degen_run = 0
-                bland = self.exact
+            degen_run = degen_run + 1 if t <= self.degen_tol else 0
 
     def _pivot(self, r: int, e: int):
         T = self.T
         T[r] = T[r] / T[r, e]
         colv = T[:, e].copy()
-        colv[r] = 0 if self.exact else 0.0
+        colv[r] = 0
         T -= colv[:, None] * T[r][None, :]
-        T[:, e] = 0 if self.exact else 0.0
-        T[r, e] = 1 if self.exact else 1.0
+        T[:, e] = 0
+        T[r, e] = 1
 
     # ------------------------------------------------------------------
 
@@ -365,15 +349,14 @@ class _Engine:
         x_full = self.vals.copy()
         x_full[self.basis] = self.xB
 
-        c0, A0, rel0, rhs0, lower0, upper0 = self.orig
+        A0, rel0, rhs0, lower0, upper0 = self.orig
         x = x_full[: self.nstruct]
-        if self.exact:
-            objective = sum((Fraction(ci) * xi for ci, xi in zip(c0.tolist(), x.tolist())), Fraction(0))
-        else:
+        if not self.exact:
             # snap drift of at most tol back onto the bounds; larger violations stay visible
             x = np.where((x < lower0) & (x >= lower0 - self.tol), lower0, x)
             x = np.where((x > upper0) & (x <= upper0 + self.tol), upper0, x)
-            objective = float(np.dot(c0, x))
+        # .item() gives a Python float, or the Fraction itself in exact mode
+        objective = np.asarray(np.dot(self.c, x)).item()
 
         rels = np.array(rel0)
         row = A0.dot(x) - rhs0

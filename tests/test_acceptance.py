@@ -216,7 +216,7 @@ def test_05_lp_tracks_half_s_and_rcm_gap():
         for s in (20, 50, 90):
             lp = solve_formulation(inst, s, Formulation.MINLP)
             cfg = RoundingConfig(Algorithm.RCM, seed=1000 + mi, restarts=10)
-            rep = solve_end_to_end(inst, s, ObjectiveKind.CMIN, cfg, lp_solution=lp)
+            rep = solve_end_to_end(inst, s, cfg, lp_solution=lp)
             hit_all = hit_all and rep.best.value(ObjectiveKind.CMIN) >= lp.z_star - 4 - 1e-9
         gap_matrices += hit_all
     elapsed = time.perf_counter() - start
@@ -239,7 +239,7 @@ def test_06_rcm_quality_on_large_instances():
         for s in range(200, 401, 50):
             lp = solve_formulation(inst, s, Formulation.MINLP)
             cfg = RoundingConfig(Algorithm.RCM, seed=6000 + mi, restarts=10)
-            rep = solve_end_to_end(inst, s, ObjectiveKind.CMIN, cfg, lp_solution=lp)
+            rep = solve_end_to_end(inst, s, cfg, lp_solution=lp)
             good += rep.best.value(ObjectiveKind.CMIN) >= 0.95 * lp.z_star - 1e-9
             cells += 1
     elapsed = time.perf_counter() - start
@@ -257,7 +257,7 @@ def test_07_rcm_tail_bound():
     z = lp.z_star
     threshold = z - math.sqrt(2 * math.log(8 * n) * z) - math.sqrt(4 * math.log(4) * s)
     cfg = RoundingConfig(Algorithm.RCM, seed=77, restarts=400, pad_policy=PadPolicy.NONE)
-    rep = solve_end_to_end(inst, s, ObjectiveKind.CMIN, cfg, lp_solution=lp)
+    rep = solve_end_to_end(inst, s, cfg, lp_solution=lp)
     successes = sum(1 for v in rep.per_restart if v >= threshold - 1e-9)
 
     # exact one-sided binomial test of H0: p <= 1/2 at the 99% level
@@ -296,7 +296,7 @@ def test_09_rca2_expectation():
         inst = gen_random(100, 30, 0.5, seed=900 + mi)
         lp = solve_formulation(inst, 50, Formulation.AVGLP)
         cfg = RoundingConfig(Algorithm.RCA2, seed=90 + mi, restarts=200, pad_policy=PadPolicy.NONE)
-        rep = solve_end_to_end(inst, 50, ObjectiveKind.CAVG, cfg, lp_solution=lp)
+        rep = solve_end_to_end(inst, 50, cfg, lp_solution=lp)
         mean = sum(rep.per_restart) / len(rep.per_restart)
         floor = lp.z_star - 10 * math.sqrt(lp.z_star)
         ok = ok and mean >= floor
@@ -308,7 +308,7 @@ def test_10_single_solve_wall_time():
     inst = gen_random(500, 40, 0.5, seed=1010)
     start = time.perf_counter()
     rep = solve_end_to_end(
-        inst, 300, ObjectiveKind.CMIN, RoundingConfig(Algorithm.RCM, seed=1, restarts=1)
+        inst, 300, RoundingConfig(Algorithm.RCM, seed=1, restarts=1)
     )
     elapsed = time.perf_counter() - start
     report(

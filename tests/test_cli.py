@@ -2,13 +2,19 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import golden
+import balancedcover
 from balancedcover.cli import main
-from balancedcover.formats import format_matrix, parse_matrix, read_matrix, write_matrix
+from balancedcover.formats import format_matrix, names_path_for, parse_matrix, read_matrix, write_matrix
+from balancedcover.ingest import matches
 
 
 @pytest.fixture
@@ -63,11 +69,10 @@ class TestBuildMatrix:
 
     def test_automaton_matcher_agrees(self, tmp_path, golden_files):
         clones, probes = golden_files
-        naive_out = tmp_path / "naive.matrix"
-        auto_out = tmp_path / "auto.matrix"
-        main(["build-matrix", str(clones), str(probes), str(naive_out)])
-        main(["build-matrix", str(clones), str(probes), str(auto_out), "--matcher", "automaton"])
-        assert parse_matrix(naive_out.read_text()).tolist() == parse_matrix(auto_out.read_text()).tolist()
+        out = tmp_path / "out.matrix"
+        assert main(["build-matrix", str(clones), str(probes), str(out)]) == 0
+        expect = [[int(matches(c, p)) for _, p in golden.PROBE_SEQUENCES] for _, c in golden.CLONE_SEQUENCES]
+        assert parse_matrix(out.read_text()).tolist() == expect
 
     def test_ambiguous_base_is_input_error(self, tmp_path, golden_files, capsys):
         clones, probes = golden_files
@@ -416,3 +421,74 @@ class TestTopLevel:
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
+
+
+class TestPathErrors:
+    """A path that cannot be read or written is bad input: exit 2, no traceback."""
+
+    SOLVE = ["--s", "4", "--objective", "cmin", "--alg", "rcm", "--seed", "1"]
+
+    @staticmethod
+    def sidecar_is_directory(tmp_path):
+        matrix = tmp_path / "g.matrix"
+        write_matrix(matrix, golden.instance())
+        names_path_for(matrix).unlink()
+        names_path_for(matrix).mkdir()
+        return ["solve", matrix, *TestPathErrors.SOLVE], names_path_for(matrix)
+
+    @staticmethod
+    def matrix_not_utf8(tmp_path):
+        matrix = tmp_path / "g.matrix"
+        matrix.write_bytes(b"# \xff\xfe\n1 1\n1\n")
+        return ["solve", matrix, *TestPathErrors.SOLVE], matrix
+
+    @staticmethod
+    def fasta_not_utf8(tmp_path):
+        clones, probes = tmp_path / "c.fa", tmp_path / "p.fa"
+        clones.write_bytes(b">c1\nAC\xffGT\n")
+        probes.write_text(">p1\nAC\n")
+        return ["build-matrix", clones, probes, tmp_path / "o.matrix"], clones
+
+    @staticmethod
+    def solve_out_missing_dir(tmp_path):
+        matrix = tmp_path / "g.matrix"
+        write_matrix(matrix, golden.instance())
+        out = tmp_path / "missing" / "r.json"
+        return ["solve", matrix, *TestPathErrors.SOLVE, "--out", out], out
+
+    @staticmethod
+    def bench_out_missing_dir(tmp_path):
+        out = tmp_path / "missing" / "b.csv"
+        argv = ["bench", "--size", "6x3", "--density", "0.5", "--s-range", "2:3", "--trials", "1"]
+        return [*argv, "--seed", "1", "--out", out], out
+
+    @staticmethod
+    def gen_out_missing_dir(tmp_path):
+        out = tmp_path / "missing" / "g.matrix"
+        argv = ["gen", "--kind", "random", "--m", "4", "--n", "3", "--density", "0.5"]
+        return [*argv, "--seed", "1", "--out", out], out
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "sidecar_is_directory",
+            "matrix_not_utf8",
+            "fasta_not_utf8",
+            "solve_out_missing_dir",
+            "bench_out_missing_dir",
+            "gen_out_missing_dir",
+        ],
+    )
+    def test_exit_2_naming_the_path(self, tmp_path, case):
+        argv, path = getattr(self, case)(tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(Path(balancedcover.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "balancedcover.cli", *map(str, argv)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert str(path) in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -124,7 +124,7 @@ class TestMatrixFiles:
     def test_read_without_names_uses_defaults(self, tmp_path):
         inst = Instance(np.eye(2, dtype=np.int8), clone_names=["left", "right"])
         path = tmp_path / "bare.matrix"
-        write_matrix(path, inst, with_names=False)
+        path.write_text(format_matrix(inst))
         assert not (tmp_path / "bare.matrix.names").exists()
         loaded = read_matrix(path)
         assert loaded.clone_names == ("c1", "c2")

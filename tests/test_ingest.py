@@ -107,6 +107,11 @@ class TestMatches:
         assert matches(clone, probe) == expect
 
 
+def per_pair_reference(clones, probes):
+    """The adjacency matrix from the public per-pair predicate, one pair at a time."""
+    return np.array([[matches(c.bases, p.bases) for p in probes] for c in clones], dtype=np.int8)
+
+
 class TestBuildInstance:
     def test_golden_matrix_reproduced(self, golden_clones, golden_probes):
         inst = build_instance(golden_clones, golden_probes)
@@ -116,9 +121,8 @@ class TestBuildInstance:
         assert int(inst.adjacency.sum()) == golden.EDGE_COUNT
 
     def test_matcher_equivalence_on_golden(self, golden_clones, golden_probes):
-        naive = build_instance(golden_clones, golden_probes, matcher="naive")
-        auto = build_instance(golden_clones, golden_probes, matcher="automaton")
-        assert np.array_equal(naive.adjacency, auto.adjacency)
+        inst = build_instance(golden_clones, golden_probes)
+        assert np.array_equal(inst.adjacency, per_pair_reference(golden_clones, golden_probes))
 
     def test_matcher_equivalence_random(self):
         rng = np.random.default_rng(97)
@@ -132,13 +136,8 @@ class TestBuildInstance:
                 SequenceRecord(f"p{j + 1}", "".join(rng.choice(bases, size=rng.integers(1, 5))))
                 for j in range(rng.integers(1, 8))
             ]
-            naive = build_instance(clones, probes, matcher="naive")
-            auto = build_instance(clones, probes, matcher="automaton")
-            assert np.array_equal(naive.adjacency, auto.adjacency)
-
-    def test_unknown_matcher(self, golden_clones, golden_probes):
-        with pytest.raises(InputError):
-            build_instance(golden_clones, golden_probes, matcher="suffix-tree")
+            inst = build_instance(clones, probes)
+            assert np.array_equal(inst.adjacency, per_pair_reference(clones, probes))
 
     def test_reject_policy_raises(self, golden_probes):
         clones = [SequenceRecord("c1", "ACNGT")]
@@ -154,12 +153,16 @@ class TestBuildInstance:
         assert inst.adjacency.tolist() == [[1, 0]]
 
     def test_never_match_policy_automaton_agrees(self):
-        clones = [SequenceRecord("c1", "AXAA")]
-        probes = [SequenceRecord("p1", "AA"), SequenceRecord("p2", "XA")]
-        inst = build_instance(
-            clones, probes, ambiguity=AmbiguityPolicy.NEVER_MATCH, matcher="automaton"
-        )
-        assert inst.adjacency.tolist() == [[1, 0]]
+        # matches() rejects 'N', so the reference runs on the normalized
+        # bases through the predicate it wraps
+        clones = [SequenceRecord("c1", "AXAA"), SequenceRecord("c2", "TTNTT")]
+        probes = [SequenceRecord("p1", "AA"), SequenceRecord("p2", "XA"), SequenceRecord("p3", "TT")]
+        policy = AmbiguityPolicy.NEVER_MATCH
+        inst = build_instance(clones, probes, ambiguity=policy)
+        norm_clones = [normalize_bases(c.bases, policy) for c in clones]
+        norm_probes = [normalize_bases(p.bases, policy) for p in probes]
+        expect = [[int(_matches_normalized(c, p)) for p in norm_probes] for c in norm_clones]
+        assert inst.adjacency.tolist() == expect == [[1, 0, 1], [1, 0, 1]]
 
     def test_duplicate_clone_names_rejected(self, golden_probes):
         clones = [SequenceRecord("c1", "ACGT"), SequenceRecord("c1", "TTTT")]

@@ -114,18 +114,27 @@ class TestShapes:
             prob.rhs[0] = 7.0
 
 
+def assert_all_fractions(sol):
+    # equality with a Fraction would also pass for an int leaking from the solver
+    assert type(sol.z_star) is Fraction
+    assert all(type(v) is Fraction for v in sol.x)
+
+
 class TestGoldenValues:
     def test_min_lp_exact(self, golden_instance):
         sol = solve_formulation(golden_instance, 6, Formulation.MINLP, exact=True)
         assert sol.z_star == golden.MINLP_OPT
+        assert_all_fractions(sol)
 
     def test_avg_lp_exact(self, golden_instance):
         sol = solve_formulation(golden_instance, 6, Formulation.AVGLP, exact=True)
         assert sol.z_star == golden.AVGLP_OPT
+        assert_all_fractions(sol)
 
     def test_max_lp_exact(self, golden_instance):
         sol = solve_formulation(golden_instance, 6, Formulation.MAXLP, exact=True)
         assert sol.z_star == golden.MAXLP_OPT
+        assert_all_fractions(sol)
 
     def test_float_agrees_with_exact(self, golden_instance):
         for form, expect in (

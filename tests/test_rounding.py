@@ -117,13 +117,13 @@ class TestAlgorithmWiring:
 class TestFeasibility:
     def test_rcm_without_padding_at_most_s(self, golden_instance):
         config = RoundingConfig(Algorithm.RCM, seed=5, restarts=40, pad_policy=PadPolicy.NONE)
-        report = solve_end_to_end(golden_instance, 6, ObjectiveKind.CMIN, config)
+        report = solve_end_to_end(golden_instance, 6, config)
         for outcome in report.outcomes:
             assert outcome.selected_size <= 6
 
     def test_default_padding_reaches_s(self, golden_instance):
         config = RoundingConfig(Algorithm.RCM, seed=5, restarts=40)
-        report = solve_end_to_end(golden_instance, 6, ObjectiveKind.CMIN, config)
+        report = solve_end_to_end(golden_instance, 6, config)
         for outcome in report.outcomes:
             assert outcome.selected_size == 6
         assert len(report.best.selected) == 6
@@ -133,7 +133,7 @@ class TestFeasibility:
         # pad policy entirely.
         for pad in PadPolicy:
             config = RoundingConfig(Algorithm.RDM, seed=5, restarts=40, pad_policy=pad)
-            report = solve_end_to_end(golden_instance, 6, ObjectiveKind.DMAX, config)
+            report = solve_end_to_end(golden_instance, 6, config)
             assert all(outcome.selected_size == 6 for outcome in report.outcomes)
 
     def test_selected_indices_valid(self):
@@ -142,7 +142,7 @@ class TestFeasibility:
             inst = random_instance(rng, max_m=10, max_n=6)
             s = int(rng.integers(1, inst.num_clones + 1))
             config = RoundingConfig(Algorithm.RCA, seed=int(rng.integers(1 << 30)), restarts=5)
-            report = solve_end_to_end(inst, s, ObjectiveKind.CAVG, config)
+            report = solve_end_to_end(inst, s, config)
             sel = report.best.selected
             assert sel == tuple(sorted(set(sel)))
             assert all(0 <= i < inst.num_clones for i in sel)
@@ -158,8 +158,7 @@ class TestMonotoneRepair:
             s = int(rng.integers(1, inst.num_clones + 1))
             for algorithm in (Algorithm.RCM, Algorithm.RCM2, Algorithm.RCA, Algorithm.RCA2):
                 config = RoundingConfig(algorithm, seed=int(rng.integers(1 << 30)), restarts=8)
-                kind = ALGORITHM_OBJECTIVE[algorithm]
-                report = solve_end_to_end(inst, s, kind, config)
+                report = solve_end_to_end(inst, s, config)
                 for outcome in report.outcomes:
                     slack = outcome.raw_value - outcome.violations_repaired
                     assert outcome.pre_pad_value >= slack - 1e-9
@@ -170,7 +169,7 @@ class TestMonotoneRepair:
             inst = random_instance(rng, max_m=12, max_n=6)
             s = int(rng.integers(1, inst.num_clones + 1))
             config = RoundingConfig(Algorithm.RDM, seed=int(rng.integers(1 << 30)), restarts=8)
-            report = solve_end_to_end(inst, s, ObjectiveKind.DMAX, config)
+            report = solve_end_to_end(inst, s, config)
             for outcome in report.outcomes:
                 assert outcome.value <= outcome.raw_value + outcome.violations_repaired + 1e-9
 
@@ -178,8 +177,8 @@ class TestMonotoneRepair:
 class TestDeterminism:
     def test_identical_runs(self, golden_instance):
         config = RoundingConfig(Algorithm.RCM, seed=17, restarts=6)
-        a = solve_end_to_end(golden_instance, 6, ObjectiveKind.CMIN, config)
-        b = solve_end_to_end(golden_instance, 6, ObjectiveKind.CMIN, config)
+        a = solve_end_to_end(golden_instance, 6, config)
+        b = solve_end_to_end(golden_instance, 6, config)
         assert a.outcomes == b.outcomes
         assert a.best == b.best
         assert a.best_trial == b.best_trial
@@ -188,10 +187,10 @@ class TestDeterminism:
         # Trial t depends only on (seed, t): asking for more restarts
         # reproduces the earlier trials bit for bit.
         short = solve_end_to_end(
-            golden_instance, 6, ObjectiveKind.CMIN, RoundingConfig(Algorithm.RCM, seed=17, restarts=2)
+            golden_instance, 6, RoundingConfig(Algorithm.RCM, seed=17, restarts=2)
         )
         long = solve_end_to_end(
-            golden_instance, 6, ObjectiveKind.CMIN, RoundingConfig(Algorithm.RCM, seed=17, restarts=7)
+            golden_instance, 6, RoundingConfig(Algorithm.RCM, seed=17, restarts=7)
         )
         assert long.outcomes[:2] == short.outcomes
 
@@ -200,13 +199,11 @@ class TestDeterminism:
             few = solve_end_to_end(
                 golden_instance,
                 6,
-                ObjectiveKind.CMIN,
                 RoundingConfig(Algorithm.RCM, seed=3, restarts=restarts),
             )
             more = solve_end_to_end(
                 golden_instance,
                 6,
-                ObjectiveKind.CMIN,
                 RoundingConfig(Algorithm.RCM, seed=3, restarts=restarts + 5),
             )
             assert more.best.cmin >= few.best.cmin
@@ -215,15 +212,15 @@ class TestDeterminism:
 class TestLpDominance:
     def test_golden_bounds(self, golden_instance):
         rcm = solve_end_to_end(
-            golden_instance, 6, ObjectiveKind.CMIN, RoundingConfig(Algorithm.RCM, seed=1, restarts=50)
+            golden_instance, 6, RoundingConfig(Algorithm.RCM, seed=1, restarts=50)
         )
         assert rcm.best.cmin <= float(golden.MINLP_OPT) + 1e-9
         rca = solve_end_to_end(
-            golden_instance, 6, ObjectiveKind.CAVG, RoundingConfig(Algorithm.RCA, seed=1, restarts=50)
+            golden_instance, 6, RoundingConfig(Algorithm.RCA, seed=1, restarts=50)
         )
         assert rca.best.cavg <= float(golden.AVGLP_OPT) + 1e-9
         rdm = solve_end_to_end(
-            golden_instance, 6, ObjectiveKind.DMAX, RoundingConfig(Algorithm.RDM, seed=1, restarts=50)
+            golden_instance, 6, RoundingConfig(Algorithm.RDM, seed=1, restarts=50)
         )
         assert rdm.best.dmax >= float(golden.MAXLP_OPT) - 1e-9
 
@@ -231,7 +228,7 @@ class TestLpDominance:
         # With enough restarts the rounded average should match the
         # well-balanced hand selection (cavg >= 18/7).
         report = solve_end_to_end(
-            golden_instance, 6, ObjectiveKind.CAVG, RoundingConfig(Algorithm.RCA, seed=2, restarts=50)
+            golden_instance, 6, RoundingConfig(Algorithm.RCA, seed=2, restarts=50)
         )
         assert report.best.cavg >= 18 / 7 - 1e-9
 
@@ -247,7 +244,7 @@ class TestLpDominance:
                 (Algorithm.RDM, ObjectiveKind.DMAX),
             ):
                 config = RoundingConfig(algorithm, seed=int(rng.integers(1 << 30)), restarts=6)
-                report = solve_end_to_end(inst, s, kind, config)
+                report = solve_end_to_end(inst, s, config)
                 z = float(report.lp.z_star)
                 value = report.best.value(kind)
                 if kind.maximize:
@@ -320,7 +317,7 @@ class TestDegenerateCases:
         # Small z* drives eps to its cap of 1, zeroing every selection
         # probability; padding then fills the quota.
         config = RoundingConfig(Algorithm.RCM2, seed=9, restarts=5)
-        report = solve_end_to_end(golden_instance, 6, ObjectiveKind.CMIN, config)
+        report = solve_end_to_end(golden_instance, 6, config)
         assert report.epsilon_or_lambda == 1.0
         assert all(outcome.sampled_size == 0 for outcome in report.outcomes)
         assert all(outcome.selected_size == 6 for outcome in report.outcomes)
@@ -330,7 +327,7 @@ class TestDegenerateCases:
         # empty and padding supplies the selection.
         inst = Instance(np.ones((5, 3), dtype=np.int8))
         config = RoundingConfig(Algorithm.RCA2, seed=9, restarts=3)
-        report = solve_end_to_end(inst, 2, ObjectiveKind.CAVG, config)
+        report = solve_end_to_end(inst, 2, config)
         assert report.lp.z_star == pytest.approx(0.0, abs=1e-9)
         assert report.epsilon_or_lambda is None
         assert all(outcome.sampled_size == 0 for outcome in report.outcomes)
@@ -339,32 +336,22 @@ class TestDegenerateCases:
     def test_single_clone_instance(self):
         inst = Instance(np.array([[1]], dtype=np.int8))
         config = RoundingConfig(Algorithm.RDM, seed=1, restarts=3)
-        report = solve_end_to_end(inst, 1, ObjectiveKind.DMAX, config)
+        report = solve_end_to_end(inst, 1, config)
         assert report.best.selected == (0,)
 
 
 class TestValidation:
-    def test_davg_refused(self, golden_instance):
-        config = RoundingConfig(Algorithm.RDM, seed=0)
-        with pytest.raises(InputError, match="davg"):
-            solve_end_to_end(golden_instance, 6, ObjectiveKind.DAVG, config)
-
-    def test_algorithm_objective_mismatch(self, golden_instance):
-        config = RoundingConfig(Algorithm.RCM, seed=0)
-        with pytest.raises(InputError, match="targets"):
-            solve_end_to_end(golden_instance, 6, ObjectiveKind.CAVG, config)
-
     def test_wrong_formulation_rejected(self, golden_instance):
         lp = solve_formulation(golden_instance, 6, Formulation.MAXLP)
         config = RoundingConfig(Algorithm.RCM, seed=0)
         with pytest.raises(InputError, match="minlp"):
-            solve_end_to_end(golden_instance, 6, ObjectiveKind.CMIN, config, lp_solution=lp)
+            solve_end_to_end(golden_instance, 6, config, lp_solution=lp)
 
     def test_wrong_x_length_rejected(self, golden_instance):
         lp = fake_lp(Formulation.MAXLP, 1.0, np.full(5, 0.5))
         config = RoundingConfig(Algorithm.RDM, seed=0)
         with pytest.raises(InputError, match="length"):
-            solve_end_to_end(golden_instance, 6, ObjectiveKind.DMAX, config, lp_solution=lp)
+            solve_end_to_end(golden_instance, 6, config, lp_solution=lp)
 
     def test_restarts_validated(self):
         with pytest.raises(InputError):
@@ -373,14 +360,14 @@ class TestValidation:
     def test_s_validated(self, golden_instance):
         config = RoundingConfig(Algorithm.RCM, seed=0)
         with pytest.raises(InputError):
-            solve_end_to_end(golden_instance, 0, ObjectiveKind.CMIN, config)
+            solve_end_to_end(golden_instance, 0, config)
 
 
 class TestReport:
     def test_shape_and_passthrough(self, golden_instance):
         lp = solve_formulation(golden_instance, 6, Formulation.MINLP)
         config = RoundingConfig(Algorithm.RCM, seed=31, restarts=4)
-        report = solve_end_to_end(golden_instance, 6, ObjectiveKind.CMIN, config, lp_solution=lp)
+        report = solve_end_to_end(golden_instance, 6, config, lp_solution=lp)
         assert report.lp is lp
         assert report.objective is ObjectiveKind.CMIN
         assert len(report.outcomes) == 4
@@ -391,14 +378,14 @@ class TestReport:
 
     def test_best_matches_outcome_value(self, golden_instance):
         config = RoundingConfig(Algorithm.RCA, seed=31, restarts=6)
-        report = solve_end_to_end(golden_instance, 6, ObjectiveKind.CAVG, config)
+        report = solve_end_to_end(golden_instance, 6, config)
         best_outcome = report.outcomes[report.best_trial]
         assert report.best.cavg == pytest.approx(best_outcome.value)
         assert best_outcome.value == max(o.value for o in report.outcomes)
 
     def test_ties_go_to_earliest_trial(self, golden_instance):
         config = RoundingConfig(Algorithm.RCM, seed=31, restarts=10)
-        report = solve_end_to_end(golden_instance, 6, ObjectiveKind.CMIN, config)
+        report = solve_end_to_end(golden_instance, 6, config)
         best_value = report.best.value(ObjectiveKind.CMIN)
         first = next(i for i, o in enumerate(report.outcomes) if o.value == best_value)
         assert report.best_trial == first

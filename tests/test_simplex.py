@@ -91,6 +91,9 @@ class TestExactMode:
         res = solve([1, 1], [[1, 2], [3, 1]], [LE, LE], [4, 6], maximize=True, exact=True)
         assert res.objective == Fraction(14, 5)
         assert list(res.x) == [Fraction(8, 5), Fraction(6, 5)]
+        # equality would also pass for an int leaking from the dtype-generic arrays
+        assert type(res.objective) is Fraction
+        assert all(type(v) is Fraction for v in res.x)
 
     def test_exact_matches_float(self):
         rng = np.random.default_rng(11)
