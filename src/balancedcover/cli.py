@@ -24,6 +24,7 @@ from .core import ObjectiveKind
 from .errors import BudgetExceededError, InputError, SolverError
 from .formats import (
     BENCH_COLUMNS,
+    check_writable,
     dump_result,
     names_path_for,
     read_matrix,
@@ -318,6 +319,10 @@ def cmd_bench(args) -> int:
         bad = [s for s in s_values if s > m]
         if bad:
             raise InputError(f"s={bad[0]} exceeds m={m} for size {m}x{n}")
+    summary_path = Path(str(args.out) + ".summary")
+    # learn of an unwritable output before the sweep, not after it
+    for path in (args.out, summary_path):
+        check_writable(path)
 
     rows = []
     matrix_counter = 0
@@ -407,7 +412,6 @@ def cmd_bench(args) -> int:
                 f"{best:.10g}",
             ]
         )
-    summary_path = Path(str(args.out) + ".summary")
     write_text(summary_path, sbuf.getvalue())
     print(f"wrote {args.out} ({len(rows)} rows) and {summary_path}")
     return 0

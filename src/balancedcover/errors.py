@@ -19,5 +19,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """The LP solver failed: infeasible system, unbounded objective, or a
-    pivoting stall past the iteration limit."""
+    """The LP solver failed: infeasible system, unbounded objective, a
+    pivoting stall past the iteration limit, or an optimum whose residual
+    certificate fails (x* violates a row or a bound by more than
+    1e-7 * max(1, max |rhs|))."""

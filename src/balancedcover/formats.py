@@ -127,6 +127,21 @@ def write_text(path: str | Path, text: str) -> None:
         raise InputError(f"cannot write {path}: {err}") from err
 
 
+def check_writable(path: str | Path) -> None:
+    """Raise the InputError a later write_text(path) would raise, before any work is done.
+
+    An existing file is left as it was; a file the check creates is removed again.
+    """
+    existed = Path(path).exists()
+    try:
+        with Path(path).open("a"):
+            pass
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err}") from err
+    if not existed:
+        Path(path).unlink()
+
+
 def write_matrix(path: str | Path, instance: Instance, comments: tuple[str, ...] = ()) -> None:
     write_text(path, format_matrix(instance, comments))
     write_text(names_path_for(path), format_names(instance))

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Instance, _check_budget
-from .errors import InputError
+from .errors import InputError, SolverError
 from .simplex import EQ, GE, LE, solve_simplex
 
 
@@ -159,6 +159,10 @@ def solve_lp(problem: LpProblem, *, exact: bool = False) -> FractionalSolution:
     Repeated calls on an equal problem return bit-identical results:
     the solver's pivot rules are deterministic and depend only on the
     problem data.
+
+    The returned x* is certified: a constraint or bound violated by more
+    than 1e-7 * max(1, max |rhs|) raises SolverError naming the LP and the
+    residual, so a drifted solve never reports a wrong optimum.
     """
     res = solve_simplex(
         problem.c,
@@ -170,6 +174,10 @@ def solve_lp(problem: LpProblem, *, exact: bool = False) -> FractionalSolution:
         maximize=problem.maximize,
         exact=exact,
     )
+    limit = 1e-7 * max(1.0, float(np.abs(problem.rhs).max()))
+    for what, value in (("primal", res.residual_primal), ("bound", res.residual_bound)):
+        if value > limit:
+            raise SolverError(f"{problem.label}: {what} residual {value:.3e} exceeds {limit:.1e}")
     num, den = problem.objective_scale
     # exact for a Fraction; for a float, + 0 turns an IEEE -0.0 into +0.0 for clean reporting
     z = res.objective * num / den + 0

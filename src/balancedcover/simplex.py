@@ -11,19 +11,34 @@ artificial sum before the real objective runs.
 
 Pivoting is deterministic: Dantzig pricing (most negative reduced cost,
 ties to the lowest column index) with the textbook ratio test including
-bound flips, switching to Bland's rule after a run of degenerate pivots
-and back once progress resumes.  Reduced costs are recomputed from the
-tableau every 512 iterations.  Float comparisons use absolute
-tolerances (1e-9 on reduced costs and ratio ties).
+bound flips.  Float comparisons use absolute tolerances (1e-9 on reduced
+costs and ratio ties).
+
+The row updates drift in float arithmetic, so every 512 iterations a
+float solve refactorizes: T and the basic values are rebuilt from the
+original columns of the current basis, and the reduced costs from T.
+The final step refactorizes once more and snaps drift of at most 1e-9
+back onto the bounds.
+
+Degenerate pivots (steps of length 0) are how a float solve stalls.
+The first time a run of 100 + rows of them occurs, the solve is dropped
+and started again from scratch, with the right-hand side of every row
+whose slack starts basic relaxed by U(1e-6, 1e-5) * (1 + |rhs_i|), drawn
+from a fixed-seed generator so repeated solves stay bit-identical; the
+final refactorization restores the true right-hand side.  Iterations of
+both attempts count, against one limit.  A restarted solve that stalls
+again switches to Bland's rule for the rest of the run, and back once a
+step makes progress.  Rows with an artificial variable are never
+relaxed, so a solve whose degeneracy lies there (or that has no
+starting slack to relax) relies on Bland's rule alone.
 
 One engine body runs in float or in exact arithmetic over
 `fractions.Fraction`; every array takes the tableau's dtype.  Exact
 mode, practical for small systems and used to cross-check the float
-path, differs only in four places: the inputs are converted to
-Fractions, every tolerance is zero, Bland's rule runs throughout, and
-the final step skips the two float-only repairs (basic values
-recomputed from a fresh factorization of the final basis to shed
-drift, then drift of at most 1e-9 snapped back onto the bounds).
+path, differs in the Fraction inputs and zero tolerances, in running
+Bland's rule throughout, and in having none of the float repairs: no
+refactorization, no restart from a perturbed right-hand side and no
+snap onto the bounds.
 """
 
 from __future__ import annotations
@@ -74,8 +89,21 @@ def solve_simplex(
     exact: bool = False,
     max_iterations: int | None = None,
 ) -> SimplexResult:
-    engine = _Engine(c, A, relations, rhs, lower, upper, maximize, exact, max_iterations)
+    args = (c, A, relations, rhs, lower, upper, maximize, exact, max_iterations)
+    engine = _Engine(*args, perturb=False)
+    try:
+        return engine.solve()
+    except _Stalled:
+        spent = engine.iterations
+    # drop the stalled tableau before the second one is built, so the two never coexist
+    del engine
+    engine = _Engine(*args, perturb=True)
+    engine.iterations = spent
     return engine.solve()
+
+
+class _Stalled(Exception):
+    """A float solve's first degenerate run reached the limit; solve again, perturbed."""
 
 
 def _fraction_or_inf(v):
@@ -91,7 +119,7 @@ def _to_exact(arr) -> np.ndarray:
 
 
 class _Engine:
-    def __init__(self, c, A, relations, rhs, lower, upper, maximize, exact, max_iterations):
+    def __init__(self, c, A, relations, rhs, lower, upper, maximize, exact, max_iterations, *, perturb):
         A = np.array(A, dtype=float)
         if A.ndim != 2 or A.shape[0] < 1:
             raise SolverError("constraint matrix must be 2-d with at least one row")
@@ -186,11 +214,21 @@ class _Engine:
             vals = np.concatenate([vals, zeros_art])
             status = np.concatenate([status, np.full(nart, _BASIC, dtype=np.int8)])
 
+        # a restart relaxes every row whose slack starts basic, so no basic value starts at a bound
+        slack_rows = basis < ncols0
+        self.restart_on_stall = not (exact or perturb) and bool(slack_rows.any())
+        self.rhs_w = rhs
+        self.rhs_run = rhs
+        if perturb:
+            relax = np.random.default_rng(0).uniform(1e-6, 1e-5, nrows) * (1.0 + np.abs(rhs))
+            relax[~slack_rows] = 0.0
+            self.rhs_run = rhs + relax
+            resid = resid + relax
+
         self.ncols0 = ncols0
         self.nart = nart
         self.T = W.copy()
         self.T0 = W
-        self.rhs_w = rhs
         self.lb = lb
         self.ub = ub
         self.cost = cost
@@ -259,7 +297,11 @@ class _Engine:
             if self.iterations > self.max_iterations:
                 raise SolverError(f"simplex stalled after {self.iterations} iterations")
             if self.iterations and self.iterations % 512 == 0:
+                if not self.exact:
+                    self._refactor(self.rhs_run)
                 d = cost - cost[self.basis].dot(T)
+            if degen_run >= degen_limit and self.restart_on_stall:
+                raise _Stalled
             bland = self.exact or degen_run >= degen_limit
             movable = self.ub > self.lb
             elig = movable & (
@@ -336,16 +378,33 @@ class _Engine:
 
     # ------------------------------------------------------------------
 
-    def _finish(self, d) -> SimplexResult:
+    def _refactor(self, rhs, *, tableau=True):
+        """Rebuild xB and, with ``tableau``, T = B^-1 T0 from the original columns of the basis.
+
+        This sheds the drift of the row updates.  B is solved against T0 in blocks of
+        columns written straight into T: an explicit inverse times T0 drifts further,
+        and one solve over all columns costs a full copy.
+        """
+        B = self.T0[:, self.basis]
         nonbasic = self.status != _BASIC
+        contrib = self.T0[:, nonbasic] @ self.vals[nonbasic] if nonbasic.any() else 0.0
+        try:
+            self.xB = np.linalg.solve(B, rhs - contrib)
+        except np.linalg.LinAlgError:
+            return
+        if tableau:
+            T = self.T
+            for j in range(0, T.shape[1], 128):
+                T[:, j : j + 128] = np.linalg.solve(B, self.T0[:, j : j + 128])
+            T[:, self.basis] = 0
+            T[np.arange(self.nrows), self.basis] = 1
+
+    # ------------------------------------------------------------------
+
+    def _finish(self, d) -> SimplexResult:
         if not self.exact:
-            # refactorize: solve B xB = rhs - N x_N for drift-free basics
-            contrib = self.T0[:, nonbasic] @ self.vals[nonbasic] if nonbasic.any() else 0.0
-            try:
-                xb = np.linalg.solve(self.T0[:, self.basis], self.rhs_w - contrib)
-                self.xB = xb
-            except np.linalg.LinAlgError:
-                pass
+            # the true rhs restores a perturbed run; T is not read again
+            self._refactor(self.rhs_w, tableau=False)
         x_full = self.vals.copy()
         x_full[self.basis] = self.xB
 

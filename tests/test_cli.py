@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: files in, files/JSON out, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import golden
 import balancedcover
+from balancedcover import cli, lp
 from balancedcover.cli import main
 from balancedcover.formats import format_matrix, names_path_for, parse_matrix, read_matrix, write_matrix
 from balancedcover.ingest import matches
@@ -173,6 +175,18 @@ class TestSolve:
             ["solve", str(golden_matrix), "--s", "6", "--objective", "cmin", "--alg", "simplex"]
         )
         assert rc == 1
+
+    def test_failed_residual_certificate_exits_4(self, golden_matrix, capsys, monkeypatch):
+        real = lp.solve_simplex
+        monkeypatch.setattr(
+            lp, "solve_simplex", lambda *a, **kw: dataclasses.replace(real(*a, **kw), residual_bound=1.0)
+        )
+        rc = main(["solve", str(golden_matrix), "--s", "6", "--objective", "cmin", "--alg", "rcm", "--seed", "5"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        assert "minlp(m=8, n=7, s=6): bound residual 1.000e+00" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_missing_matrix_is_input_error(self, tmp_path):
         rc = main(
@@ -409,6 +423,24 @@ class TestBench:
             ]
         )
         assert rc == 2
+
+
+    @pytest.mark.parametrize("bad", ["out_dir_missing", "summary_is_directory"])
+    def test_unwritable_out_refused_before_any_solve(self, tmp_path, capsys, monkeypatch, bad):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an LP was solved before the outputs were checked")
+
+        monkeypatch.setattr(cli, "solve_formulation", no_solve)
+        if bad == "out_dir_missing":
+            out = path = tmp_path / "missing" / "bench.csv"
+        else:
+            out = tmp_path / "bench.csv"
+            path = tmp_path / "bench.csv.summary"
+            path.mkdir()
+        assert main(self.bench_args(out)) == 2
+        assert str(path) in capsys.readouterr().err
+        # the check leaves no file behind
+        assert not out.exists()
 
 
 class TestTopLevel:

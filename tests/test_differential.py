@@ -1,0 +1,118 @@
+"""The float simplex against scipy's HiGHS on inputs that make it pivot hard.
+
+Clone families of point mutants are massively primal degenerate: MinLP
+starts with every probe row's slack basic at 0, and the rows of clones
+copied from one template are nearly equal.  On seed 1 a long degenerate
+run used to end in a wrong MinLP z*, and on seed 27 in a wrong MaxLP z*,
+because the row-updated tableau drifted.  The remaining cases are the
+pivot stress inputs: replicated, duplicate and complementary probe
+columns, constant matrices, the two hardness reductions, and the
+extreme budgets s = 1 and s = m.
+"""
+
+import numpy as np
+import pytest
+
+from balancedcover import Formulation, Instance, build_lp, gen_random, simplex, solve_lp
+from balancedcover.generators import gen_set_cover, gen_x3c, replicate_probes
+from balancedcover.ingest import reverse_complement
+
+linprog = pytest.importorskip("scipy.optimize").linprog
+
+_BASES = np.frombuffer(b"ACGT", dtype=np.uint8)
+
+
+def clone_family(seed, clones=400, templates=40, length=1500, mutations=15, probes=40):
+    """Point mutants of random templates against random 6- and 7-mer probes."""
+    rng = np.random.default_rng([seed, 1, 0])
+    tmpl = rng.integers(0, 4, size=(templates, length))
+    seqs = []
+    for i in range(clones):
+        bases = tmpl[i % templates].copy()
+        pos = rng.choice(length, size=mutations, replace=False)
+        bases[pos] = (bases[pos] + rng.integers(1, 4, size=mutations)) % 4
+        seqs.append(_BASES[bases].tobytes().decode())
+    kmers = [_BASES[rng.integers(0, 4, size=6 + j % 2)].tobytes().decode() for j in range(probes)]
+    a = [[p in c or reverse_complement(p) in c for p in kmers] for c in seqs]
+    return Instance(np.array(a, dtype=np.int8))
+
+
+def highs_optimum(problem):
+    """The reported optimum of an LpProblem, solved by HiGHS from its rows."""
+    rel = np.array(problem.relations)
+    sign = np.where(rel == ">=", -1.0, 1.0)
+    ub, eq = rel != "=", rel == "="
+    res = linprog(
+        -problem.c if problem.maximize else problem.c,
+        A_ub=(sign[:, None] * problem.A)[ub] if ub.any() else None,
+        b_ub=(sign * problem.rhs)[ub] if ub.any() else None,
+        A_eq=problem.A[eq] if eq.any() else None,
+        b_eq=problem.rhs[eq] if eq.any() else None,
+        bounds=list(zip(problem.lower, np.where(np.isinf(problem.upper), None, problem.upper))),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    num, den = problem.objective_scale
+    return (-res.fun if problem.maximize else res.fun) * num / den
+
+
+def _duplicated():
+    a = gen_random(40, 8, 0.3, seed=4).adjacency
+    return Instance(np.hstack([a, a[:, :4]]))
+
+
+def _complementary():
+    a = gen_random(40, 8, 0.3, seed=5).adjacency
+    return Instance(np.hstack([a, 1 - a]))
+
+
+# case -> (instance, budgets)
+CASES = {
+    "clone_family_seed1": (lambda: clone_family(1), (40, 100)),
+    "clone_family_seed27": (lambda: clone_family(27), (40, 100)),
+    "replicate_probes": (lambda: replicate_probes(gen_random(50, 10, 0.5, seed=3), 3), None),
+    "all_ones": (lambda: Instance(np.ones((30, 8), dtype=np.int8)), None),
+    "all_zeros": (lambda: Instance(np.zeros((30, 8), dtype=np.int8)), None),
+    "duplicate_columns": (_duplicated, None),
+    "complementary_columns": (_complementary, None),
+    "x3c": (lambda: gen_x3c(30, 40, plant_cover=True, seed=1, solve_ground_truth=False).instance, None),
+    "set_cover": (lambda: gen_set_cover(20, 30, 5, 6, seed=2, solve_ground_truth=False).instance, None),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_float_simplex_agrees_with_highs(case):
+    make, budgets = CASES[case]
+    instance = make()
+    m = instance.num_clones
+    wrong = []
+    for s in budgets or (1, m // 2, m):
+        for formulation in Formulation:
+            problem = build_lp(instance, s, formulation)
+            sol = solve_lp(problem)
+            ref = highs_optimum(problem)
+            if abs(sol.z_star - ref) > 1e-9 * max(1.0, abs(ref)) or sol.stats.residual_bound > 1e-9:
+                stats = sol.stats
+                wrong.append(
+                    f"{problem.label}: z* {sol.z_star!r} vs HiGHS {ref!r} after {stats.iterations} "
+                    f"iterations, residual_bound {stats.residual_bound:.3g}"
+                )
+    assert not wrong, "\n".join(wrong)
+
+
+def test_stalling_solve_is_bit_identical(monkeypatch):
+    engines = []
+
+    class RecordingEngine(simplex._Engine):
+        def __init__(self, *args, perturb):
+            engines.append(perturb)
+            super().__init__(*args, perturb=perturb)
+
+    monkeypatch.setattr(simplex, "_Engine", RecordingEngine)
+    problem = build_lp(clone_family(1), 40, Formulation.MINLP)
+    first, second = solve_lp(problem), solve_lp(problem)
+    # each solve stalls once and is restarted from a perturbed right-hand side
+    assert engines == [False, True, False, True]
+    assert first.x.tobytes() == second.x.tobytes()
+    assert first.z_star == second.z_star
+    assert first.stats == second.stats

@@ -1,5 +1,6 @@
 """LP formulations of the three relaxations and their solutions."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +20,8 @@ from balancedcover import (
     solve_lp,
     to_lp_text,
 )
+from balancedcover import lp as lp_module
+from balancedcover.errors import SolverError
 from conftest import random_instance
 
 
@@ -204,6 +207,31 @@ class TestSolutionProperties:
             sol = solve_formulation(inst, s, Formulation.MAXLP)
             assert sol.z_star == 0.0
             assert str(sol.z_star) == "0.0"
+
+
+class TestResidualCertificate:
+    """solve_lp refuses an x* that violates a row or a bound by more than 1e-7 * max(1, max |rhs|)."""
+
+    @staticmethod
+    def with_residual(monkeypatch, **residual):
+        real = lp_module.solve_simplex
+        monkeypatch.setattr(
+            lp_module, "solve_simplex", lambda *a, **kw: dataclasses.replace(real(*a, **kw), **residual)
+        )
+
+    @pytest.mark.parametrize("field", ["residual_primal", "residual_bound"])
+    def test_residual_over_limit_raises(self, golden_instance, monkeypatch, field):
+        self.with_residual(monkeypatch, **{field: 1.0})
+        with pytest.raises(SolverError, match=r"minlp\(m=8, n=7, s=6\): \w+ residual 1\.000e\+00"):
+            solve_formulation(golden_instance, 6, Formulation.MINLP)
+
+    def test_limit_scales_with_rhs(self, golden_instance, monkeypatch):
+        # the budget row's rhs s = 6 sets the limit to 6e-7
+        self.with_residual(monkeypatch, residual_primal=5e-7, residual_bound=5e-7)
+        assert solve_formulation(golden_instance, 6, Formulation.MINLP).stats.residual_bound == 5e-7
+        self.with_residual(monkeypatch, residual_bound=7e-7)
+        with pytest.raises(SolverError, match="bound residual"):
+            solve_formulation(golden_instance, 6, Formulation.MINLP)
 
 
 class TestDominance:
