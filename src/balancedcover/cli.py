@@ -42,7 +42,7 @@ from .generators import (
     replicate_probes,
 )
 from .ingest import AmbiguityPolicy, build_instance, parse_sequences
-from .lp import Formulation, solve_formulation
+from .lp import solve_formulation, solve_sweep
 from .oracle import DEFAULT_BUDGET, exact_optimum
 from .rounding import (
     ALGORITHM_FORMULATION,
@@ -331,13 +331,14 @@ def cmd_bench(args) -> int:
             matrix_seed = _mix_seed(seed, matrix_counter)
             inst = gen_random(m, n, dens, matrix_seed)
             matrix_id = f"m{m}n{n}d{dens}i{matrix_counter}"
-            for s in s_values:
-                lp_cache: dict[Formulation, object] = {}
+            # one warm-started sweep over s per formulation the algorithms need
+            sweeps = {
+                f: solve_sweep(inst, s_values, f)
+                for f in dict.fromkeys(ALGORITHM_FORMULATION[alg] for alg in algorithms)
+            }
+            for k, s in enumerate(s_values):
                 for alg_index, alg in enumerate(algorithms):
-                    formulation = ALGORITHM_FORMULATION[alg]
-                    if formulation not in lp_cache:
-                        lp_cache[formulation] = solve_formulation(inst, s, formulation)
-                    lp_sol = lp_cache[formulation]
+                    lp_sol = sweeps[ALGORITHM_FORMULATION[alg]][k]
                     kind = ALGORITHM_OBJECTIVE[alg]
                     lp_value = float(lp_sol.z_star)
                     for trial in range(args.trials):

@@ -84,11 +84,22 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class SolverStats:
+    """The simplex's diagnostics and the optimal basis it stopped at.
+
+    ``basis`` and ``at_upper`` (the nonbasic columns at their upper bound) can
+    start a solve of the same LP at another s.  ``iterations`` counts every
+    pivot, ``dual_iterations`` the dual simplex pivots of a warm start among
+    them; ``warm_start`` says whether the result was reached from a start.
+    """
+
     iterations: int
     basis: tuple[int, ...]
     residual_primal: float
     residual_bound: float
     residual_dual: float
+    at_upper: tuple[int, ...] = ()
+    warm_start: bool = False
+    dual_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -153,12 +164,18 @@ def build_lp(instance: Instance, s: int, formulation: Formulation) -> LpProblem:
     )
 
 
-def solve_lp(problem: LpProblem, *, exact: bool = False) -> FractionalSolution:
+def solve_lp(problem: LpProblem, *, exact: bool = False, start: SolverStats | None = None) -> FractionalSolution:
     """Solve a built LP and report the scaled optimum and x* slice.
 
     Repeated calls on an equal problem return bit-identical results:
     the solver's pivot rules are deterministic and depend only on the
-    problem data.
+    problem data (and ``start``).
+
+    ``start``, the stats of a float solve of the same LP with another
+    right-hand side, starts the simplex from that solve's optimal basis
+    (dual simplex pivots, then primal ones).  The optimum is the same; x*
+    may be another optimal vertex.  Its basis must hold no artificial
+    column (see ``solve_sweep``).
 
     The returned x* is certified: a constraint or bound violated by more
     than 1e-7 * max(1, max |rhs|) raises SolverError naming the LP and the
@@ -173,6 +190,7 @@ def solve_lp(problem: LpProblem, *, exact: bool = False) -> FractionalSolution:
         problem.upper,
         maximize=problem.maximize,
         exact=exact,
+        start=None if start is None else (start.basis, start.at_upper),
     )
     limit = 1e-7 * max(1.0, float(np.abs(problem.rhs).max()))
     for what, value in (("primal", res.residual_primal), ("bound", res.residual_bound)):
@@ -189,8 +207,32 @@ def solve_lp(problem: LpProblem, *, exact: bool = False) -> FractionalSolution:
         residual_primal=res.residual_primal,
         residual_bound=res.residual_bound,
         residual_dual=res.residual_dual,
+        at_upper=res.at_upper,
+        warm_start=res.warm_start,
+        dual_iterations=res.dual_iterations,
     )
     return FractionalSolution(formulation=problem.formulation, z_star=z, x=x, stats=stats)
+
+
+def solve_sweep(instance: Instance, s_values, formulation: Formulation) -> list[FractionalSolution]:
+    """Solve one relaxation at every s in ``s_values``, in order, in float mode.
+
+    s enters the LP only through the right-hand side, so each solve after
+    the first starts from the previous optimal basis (``solve_lp``'s
+    ``start``).  A basis that holds an artificial column (a redundant row
+    kept at 0) cannot start a solve; that s is solved cold.  Each z* equals
+    a standalone ``solve_formulation`` up to float rounding and passes the
+    same residual certificate; x* may be another optimal vertex, which
+    depends on the s values solved before it.
+    """
+    solutions: list[FractionalSolution] = []
+    for s in s_values:
+        problem = build_lp(instance, s, formulation)
+        # the simplex's columns: structural, one slack per inequality row, then artificials
+        columns = problem.num_vars + sum(rel != EQ for rel in problem.relations)
+        start = solutions[-1].stats if solutions and max(solutions[-1].stats.basis) < columns else None
+        solutions.append(solve_lp(problem, start=start))
+    return solutions
 
 
 def solve_formulation(

@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex with upper-bounded variables.
+"""Dense bounded simplex: two-phase primal, plus a dual phase for warm starts.
 
 Solves   min/max  c.x   s.t.  A x {<=,>=,=} rhs,  lower <= x <= upper
 
@@ -39,6 +39,32 @@ path, differs in the Fraction inputs and zero tolerances, in running
 Bland's rule throughout, and in having none of the float repairs: no
 refactorization, no restart from a perturbed right-hand side and no
 snap onto the bounds.
+
+A float solve may start from the optimal basis of the same LP with
+another right-hand side (``start``: that basis and which of its
+nonbasic columns sat at their upper bound).  The columns are the
+structural ones, then one slack per inequality row, then the
+artificials; a start must use the first two kinds only, so a warm
+engine is built without artificial columns.  Row sign flips made by a
+cold start do not matter, because B^-1 A and the basic values do not
+change when rows are scaled.  Only the right-hand side moved, so the
+start is still dual feasible: the engine puts each nonbasic column at
+its bound, refactorizes, and runs dual simplex pivots until every
+basic value lies within its bounds up to the reduced-cost tolerance.
+The leaving row is the one with the largest infeasibility (ties to the
+lowest row); the entering column minimizes |d_j / T[r, j]| over the
+nonbasic columns whose move restores that row (ties to the lowest
+column).  There is no bound flipping.  Most reduced costs of these LPs
+are 0, and with the true costs such ties made the dual simplex cycle
+until the iteration limit, so the dual phase prices with each nonbasic
+cost moved away from 0 on its dual feasible side by U(1e-7, 1e-6) *
+(1 + |c_j|), drawn from a fixed-seed generator.  The primal loop then
+runs on the true costs: it confirms optimality, or pivots on the few
+reduced costs the perturbation left on the wrong side.  The dual phase
+shares the refactorization every 512 iterations and the iteration
+limit with the primal loop.  If the primal loop after it stalls, the
+warm engine is dropped and the solve starts again cold from a
+perturbed right-hand side.
 """
 
 from __future__ import annotations
@@ -65,7 +91,9 @@ class SimplexResult:
     ``objective`` is in the caller's sense (max problems report the max).
     Residuals are absolute: constraint violation, bound violation, and
     worst wrong-sign reduced cost at the final basis.  In exact mode
-    ``x`` holds Fractions and ``objective`` is a Fraction.
+    ``x`` holds Fractions and ``objective`` is a Fraction.  ``basis`` and
+    ``at_upper`` (the nonbasic columns at their upper bound) can start a
+    float solve of the same LP with another right-hand side.
     """
 
     x: np.ndarray
@@ -75,6 +103,9 @@ class SimplexResult:
     residual_primal: float
     residual_bound: float
     residual_dual: float
+    at_upper: tuple[int, ...]
+    warm_start: bool
+    dual_iterations: int
 
 
 def solve_simplex(
@@ -88,22 +119,29 @@ def solve_simplex(
     maximize: bool = False,
     exact: bool = False,
     max_iterations: int | None = None,
+    start: tuple | None = None,
 ) -> SimplexResult:
+    """Solve one LP; ``start`` is a ``(basis, at_upper)`` pair from a result of the same LP.
+
+    ``iterations`` counts every pivot and bound flip, ``dual_iterations`` the dual
+    simplex pivots among them, and ``warm_start`` says whether the result was
+    reached from ``start`` (False when a stalled warm start was solved again cold).
+    """
     args = (c, A, relations, rhs, lower, upper, maximize, exact, max_iterations)
-    engine = _Engine(*args, perturb=False)
+    engine = _Engine(*args, start, perturb=False)
     try:
         return engine.solve()
     except _Stalled:
-        spent = engine.iterations
+        spent, dual = engine.iterations, engine.dual_iterations
     # drop the stalled tableau before the second one is built, so the two never coexist
     del engine
-    engine = _Engine(*args, perturb=True)
-    engine.iterations = spent
+    engine = _Engine(*args, None, perturb=True)
+    engine.iterations, engine.dual_iterations = spent, dual
     return engine.solve()
 
 
 class _Stalled(Exception):
-    """A float solve's first degenerate run reached the limit; solve again, perturbed."""
+    """A float solve's first degenerate run reached the limit; solve again cold, perturbed."""
 
 
 def _fraction_or_inf(v):
@@ -119,7 +157,7 @@ def _to_exact(arr) -> np.ndarray:
 
 
 class _Engine:
-    def __init__(self, c, A, relations, rhs, lower, upper, maximize, exact, max_iterations, *, perturb):
+    def __init__(self, c, A, relations, rhs, lower, upper, maximize, exact, max_iterations, start, *, perturb):
         A = np.array(A, dtype=float)
         if A.ndim != 2 or A.shape[0] < 1:
             raise SolverError("constraint matrix must be 2-d with at least one row")
@@ -146,6 +184,8 @@ class _Engine:
         bad = set(relations) - {LE, GE, EQ}
         if bad:
             raise SolverError(f"unknown relation {bad.pop()!r}")
+        if exact and start is not None:
+            raise SolverError("a warm start needs float mode")
 
         self.orig = (A.copy(), relations, rhs.copy(), lower, upper)
         self.exact = bool(exact)
@@ -182,20 +222,35 @@ class _Engine:
         self.tol, self.pivtol, self.degen_tol, self.feas_tol = tols
         self.c = c
 
-        # starting point: everything nonbasic at its lower bound
+        # starting point: everything nonbasic at its lower bound, or where the start puts it
         vals = lb.copy()
         status = np.full(ncols0, _AT_LOWER, dtype=np.int8)
-        resid = rhs - W.dot(vals)
-        basis = np.full(nrows, -1, dtype=np.intp)
-        slack_pos = {row: k for k, row in enumerate(le_rows)}
         art_rows = []
-        for i in range(nrows):
-            if rels[i] == LE and resid[i] >= 0:
-                j = nstruct + slack_pos[i]
-                basis[i] = j
-                status[j] = _BASIC
-            else:
-                art_rows.append(i)
+        if start is not None:
+            basis = np.array(start[0], dtype=np.intp)
+            at_upper = np.array(start[1], dtype=np.intp)
+            cols = np.concatenate([basis, at_upper])
+            if (
+                basis.shape != (nrows,)
+                or not ((cols >= 0) & (cols < ncols0)).all()
+                or len(set(cols.tolist())) != cols.size
+                or not np.isfinite(ub[at_upper]).all()
+            ):
+                raise SolverError("start is not a basis over this LP's structural and slack columns")
+            status[at_upper] = _AT_UPPER
+            vals[at_upper] = ub[at_upper]
+            status[basis] = _BASIC
+        resid = rhs - W.dot(vals)
+        if start is None:
+            basis = np.full(nrows, -1, dtype=np.intp)
+            slack_pos = {row: k for k, row in enumerate(le_rows)}
+            for i in range(nrows):
+                if rels[i] == LE and resid[i] >= 0:
+                    j = nstruct + slack_pos[i]
+                    basis[i] = j
+                    status[j] = _BASIC
+                else:
+                    art_rows.append(i)
         nart = len(art_rows)
         if nart:
             art = np.zeros((nrows, nart), dtype=W.dtype)
@@ -237,14 +292,20 @@ class _Engine:
         self.basis = basis
         self.xB = resid.copy()
         self.iterations = 0
+        self.dual_iterations = 0
         ncols = W.shape[1]
         self.max_iterations = (
             int(max_iterations) if max_iterations is not None else 200 * (nrows + ncols) + 5000
         )
+        self.warm = start is not None
+        if self.warm and not self._refactor(self.rhs_run):
+            raise SolverError("start basis is singular")
 
     # ------------------------------------------------------------------
 
     def solve(self) -> SimplexResult:
+        if self.warm:
+            self._run_dual()
         if self.nart:
             phase1 = np.zeros(self.T.shape[1], dtype=self.T.dtype)
             phase1[self.ncols0 :] = 1
@@ -367,6 +428,54 @@ class _Engine:
             self.iterations += 1
             degen_run = degen_run + 1 if t <= self.degen_tol else 0
 
+    def _run_dual(self):
+        """Dual simplex pivots from a dual feasible basis until it is primal feasible."""
+        T = self.T
+        # most reduced costs are 0 (only the z columns carry a cost), and ties at 0 let the dual
+        # simplex cycle: move each nonbasic cost away from 0 on its dual feasible side
+        delta = np.random.default_rng(0).uniform(1e-7, 1e-6, self.cost.size) * (1.0 + np.abs(self.cost))
+        cost = self.cost + np.where(self.status == _AT_LOWER, delta, np.where(self.status == _AT_UPPER, -delta, 0.0))
+        d = cost - cost[self.basis].dot(T)
+        movable = self.ub > self.lb
+        while True:
+            if self.iterations > self.max_iterations:
+                raise SolverError(f"simplex stalled after {self.iterations} iterations")
+            if self.iterations and self.iterations % 512 == 0:
+                self._refactor(self.rhs_run)
+                d = cost - cost[self.basis].dot(T)
+            below = self.lb[self.basis] - self.xB
+            above = self.xB - self.ub[self.basis]
+            infeas = np.maximum(below, above)
+            r = int(np.argmax(infeas))
+            if infeas[r] <= self.tol:
+                return
+            # x_B[r] = beta_r - T[r] . x_N: a column at its lower bound moves it against
+            # the sign of T[r, j], a column at its upper bound along it
+            rise = below[r] > 0
+            row = T[r] if rise else -T[r]
+            elig = movable & (
+                ((self.status == _AT_LOWER) & (row < -self.pivtol))
+                | ((self.status == _AT_UPPER) & (row > self.pivtol))
+            )
+            if not elig.any():
+                raise SolverError(f"infeasible constraint system (basic row {r} cannot reach its bounds)")
+            ratios = np.full(T.shape[1], math.inf)
+            ratios[elig] = np.abs(d[elig] / row[elig])
+            e = int(np.argmin(ratios))
+            leave = self.basis[r]
+            target = self.lb[leave] if rise else self.ub[leave]
+            step = (self.xB[r] - target) / T[r, e]
+            self.xB = self.xB - step * T[:, e]
+            self.status[leave] = _AT_LOWER if rise else _AT_UPPER
+            self.vals[leave] = target
+            self.status[e] = _BASIC
+            self.basis[r] = e
+            self.xB[r] = self.vals[e] + step
+            self._pivot(r, e)
+            d = d - d[e] * T[r]
+            self.iterations += 1
+            self.dual_iterations += 1
+
     def _pivot(self, r: int, e: int):
         T = self.T
         T[r] = T[r] / T[r, e]
@@ -381,6 +490,8 @@ class _Engine:
     def _refactor(self, rhs, *, tableau=True):
         """Rebuild xB and, with ``tableau``, T = B^-1 T0 from the original columns of the basis.
 
+        Returns False, changing nothing, when B is singular.
+
         This sheds the drift of the row updates.  B is solved against T0 in blocks of
         columns written straight into T: an explicit inverse times T0 drifts further,
         and one solve over all columns costs a full copy.
@@ -391,13 +502,14 @@ class _Engine:
         try:
             self.xB = np.linalg.solve(B, rhs - contrib)
         except np.linalg.LinAlgError:
-            return
+            return False
         if tableau:
             T = self.T
             for j in range(0, T.shape[1], 128):
                 T[:, j : j + 128] = np.linalg.solve(B, self.T0[:, j : j + 128])
             T[:, self.basis] = 0
             T[np.arange(self.nrows), self.basis] = 1
+        return True
 
     # ------------------------------------------------------------------
 
@@ -434,4 +546,7 @@ class _Engine:
             residual_primal=rp,
             residual_bound=rb,
             residual_dual=rd,
+            at_upper=tuple(int(j) for j in np.flatnonzero(self.status == _AT_UPPER)),
+            warm_start=self.warm,
+            dual_iterations=self.dual_iterations,
         )

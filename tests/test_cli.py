@@ -16,7 +16,10 @@ import balancedcover
 from balancedcover import cli, lp
 from balancedcover.cli import main
 from balancedcover.formats import format_matrix, names_path_for, parse_matrix, read_matrix, write_matrix
+from balancedcover.generators import gen_random
 from balancedcover.ingest import matches
+from balancedcover.lp import solve_formulation
+from balancedcover.rounding import ALGORITHM_FORMULATION, Algorithm, derive_trial_seed
 
 
 @pytest.fixture
@@ -424,6 +427,35 @@ class TestBench:
         )
         assert rc == 2
 
+    def test_sweep_rows_match_cold_solves_and_derived_seeds(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--size", "30x8", "--density", "0.5", "--s-range", "1:30"]
+        argv += ["--alg", "rcm", "--alg", "rdm", "--alg", "rca", "--trials", "2", "--seed", "5", "--out", str(out)]
+        assert main(argv) == 0
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+
+        def mixed(*parts):
+            acc = 0
+            for p in parts:
+                acc = derive_trial_seed(acc, p)
+            return acc
+
+        # the one matrix, its seed derived from (seed, matrix counter 0)
+        inst = gen_random(30, 8, 0.5, mixed(5, 0))
+        expected, cold = [], []
+        for s in range(1, 31):
+            for alg_index, alg in enumerate(("rcm", "rdm", "rca")):
+                z = solve_formulation(inst, s, ALGORITHM_FORMULATION[Algorithm(alg)]).z_star
+                for trial in range(2):
+                    expected.append((str(s), alg, str(trial), str(mixed(5, 0, s, alg_index, trial))))
+                    cold.append(z)
+        assert [(r["s"], r["algorithm"], r["trial"], r["seed"]) for r in rows] == expected
+        # lpValue is the z* of a standalone cold solve, though the bench warm-starts;
+        # only a zero optimum may read as either solve's float noise (3e-17 against 0)
+        for row, z in zip(rows, cold):
+            if row["lpValue"] != f"{z:.10g}":
+                assert abs(float(row["lpValue"])) < 1e-12 and abs(z) < 1e-12, (row, z)
 
     @pytest.mark.parametrize("bad", ["out_dir_missing", "summary_is_directory"])
     def test_unwritable_out_refused_before_any_solve(self, tmp_path, capsys, monkeypatch, bad):
@@ -431,6 +463,7 @@ class TestBench:
             raise AssertionError("an LP was solved before the outputs were checked")
 
         monkeypatch.setattr(cli, "solve_formulation", no_solve)
+        monkeypatch.setattr(cli, "solve_sweep", no_solve)
         if bad == "out_dir_missing":
             out = path = tmp_path / "missing" / "bench.csv"
         else:

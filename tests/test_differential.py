@@ -8,12 +8,17 @@ because the row-updated tableau drifted.  The remaining cases are the
 pivot stress inputs: replicated, duplicate and complementary probe
 columns, constant matrices, the two hardness reductions, and the
 extreme budgets s = 1 and s = m.
+
+The same inputs check the warm-started sweep over s against cold solves
+and HiGHS, and small slices of them check the exact Fraction mode.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from balancedcover import Formulation, Instance, build_lp, gen_random, simplex, solve_lp
+from balancedcover import Formulation, Instance, build_lp, gen_random, simplex, solve_lp, solve_sweep
 from balancedcover.generators import gen_set_cover, gen_x3c, replicate_probes
 from balancedcover.ingest import reverse_complement
 
@@ -116,3 +121,64 @@ def test_stalling_solve_is_bit_identical(monkeypatch):
     assert first.x.tobytes() == second.x.tobytes()
     assert first.z_star == second.z_star
     assert first.stats == second.stats
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_warm_sweep_agrees_with_cold_and_highs(case):
+    make, budgets = CASES[case]
+    instance = make()
+    # s = 1..m, or s = 40..100 step 10 on the 400-clone families
+    s_values = list(range(40, 101, 10) if budgets else range(1, instance.num_clones + 1))
+    wrong = []
+    for formulation in Formulation:
+        sweep = solve_sweep(instance, s_values, formulation)
+        again = solve_sweep(instance, s_values, formulation)
+        # every solve after the first starts from the previous basis: none falls back to cold
+        assert [sol.stats.warm_start for sol in sweep] == [False] + [True] * (len(s_values) - 1)
+        assert sweep[0].stats.dual_iterations == 0
+        assert all(0 <= sol.stats.dual_iterations <= sol.stats.iterations for sol in sweep)
+        for s, sol, rerun in zip(s_values, sweep, again):
+            assert (sol.x.tobytes(), sol.z_star, sol.stats.iterations, sol.stats.basis) == (
+                rerun.x.tobytes(),
+                rerun.z_star,
+                rerun.stats.iterations,
+                rerun.stats.basis,
+            )
+            problem = build_lp(instance, s, formulation)
+            cold = solve_lp(problem).z_star
+            ref = highs_optimum(problem)
+            tol = 1e-9 * max(1.0, abs(ref))
+            if abs(sol.z_star - cold) > tol or abs(sol.z_star - ref) > tol or sol.stats.residual_bound > 1e-9:
+                wrong.append(
+                    f"{problem.label}: sweep z* {sol.z_star!r} vs cold {cold!r} vs HiGHS {ref!r}, "
+                    f"residual_bound {sol.stats.residual_bound:.3g}"
+                )
+    assert not wrong, "\n".join(wrong)
+
+
+# small inputs that the exact Fraction mode solves in about a second for s = 1, m/2 and m
+EXACT_CASES = {
+    "all_ones": CASES["all_ones"][0],
+    "all_zeros": CASES["all_zeros"][0],
+    # 16 clones, probes 1-4 and their duplicates
+    "duplicate_columns_16x8": lambda: Instance(_duplicated().adjacency[:16][:, [0, 1, 2, 3, 8, 9, 10, 11]]),
+    "set_cover_20x8": lambda: Instance(CASES["set_cover"][0]().adjacency[:20, :8]),
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+def test_exact_mode_agrees_with_highs_and_float(case):
+    instance = EXACT_CASES[case]()
+    m = instance.num_clones
+    wrong = []
+    for s in (1, m // 2, m):
+        for formulation in Formulation:
+            problem = build_lp(instance, s, formulation)
+            exact = solve_lp(problem, exact=True).z_star
+            assert isinstance(exact, Fraction)
+            ref = highs_optimum(problem)
+            flt = solve_lp(problem).z_star
+            tol = 1e-9 * max(1.0, abs(ref))
+            if abs(exact - ref) > tol or abs(exact - flt) > tol:
+                wrong.append(f"{problem.label}: exact z* {exact} vs HiGHS {ref!r} vs float {flt!r}")
+    assert not wrong, "\n".join(wrong)

@@ -179,3 +179,80 @@ class TestAgainstScipy:
         # The sweep must actually exercise the solver, not just the
         # infeasible/unbounded paths.
         assert solved >= 80
+
+
+class TestWarmStart:
+    """A solve started from the optimal basis of the same LP with another right-hand side."""
+
+    @staticmethod
+    def start_of(res):
+        return res.basis, res.at_upper
+
+    def test_random_rhs_changes_match_cold_and_scipy(self):
+        rng = np.random.default_rng(8675309)
+        warm_solved = infeasible = 0
+        for _ in range(200):
+            nrows = int(rng.integers(1, 6))
+            ncols = int(rng.integers(1, 7))
+            A = rng.integers(-4, 5, size=(nrows, ncols)).astype(float)
+            c = rng.integers(-4, 5, size=ncols).astype(float)
+            relations = rng.choice(np.array([LE, GE]), size=nrows).tolist()
+            # a GE row with rhs <= 0 and an LE row with rhs >= 0 hold at x = 0, so no artificial starts basic
+            b = np.where(np.array(relations) == LE, 1.0, -1.0) * rng.integers(0, 9, size=nrows)
+            upper = rng.integers(1, 6, size=ncols).astype(float)
+            maximize = bool(rng.random() < 0.5)
+            first = solve(c, A, relations, b, upper=upper, maximize=maximize)
+            b2 = b + rng.integers(-4, 5, size=nrows)
+            ref = scipy_linprog(
+                (-1.0 if maximize else 1.0) * c,
+                A_ub=np.where(np.array(relations)[:, None] == GE, -A, A),
+                b_ub=np.where(np.array(relations) == GE, -b2, b2),
+                bounds=[(0.0, u) for u in upper],
+                method="highs",
+            )
+            if ref.status == 2:
+                with pytest.raises(SolverError, match="infeasible"):
+                    solve(c, A, relations, b2, upper=upper, maximize=maximize, start=self.start_of(first))
+                infeasible += 1
+                continue
+            assert ref.status == 0
+            warm = solve(c, A, relations, b2, upper=upper, maximize=maximize, start=self.start_of(first))
+            cold = solve(c, A, relations, b2, upper=upper, maximize=maximize)
+            assert warm.warm_start and not cold.warm_start
+            assert cold.dual_iterations == 0 <= warm.dual_iterations <= warm.iterations
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert warm.objective == pytest.approx((-1.0 if maximize else 1.0) * ref.fun, abs=1e-7)
+            assert warm.residual_primal <= 1e-9 and warm.residual_bound <= 1e-9
+            warm_solved += 1
+        # both outcomes of the dual phase are exercised
+        assert warm_solved >= 100 and infeasible >= 10
+
+    def test_same_rhs_needs_no_pivot(self):
+        args = ([1, 1], [[1, 2], [3, 1]], [LE, LE], [4, 6])
+        first = solve(*args, maximize=True)
+        again = solve(*args, maximize=True, start=self.start_of(first))
+        assert again.iterations == 0
+        assert again.basis == first.basis
+        assert np.array_equal(again.x, first.x)
+
+    def test_dual_pivots_restore_feasibility(self):
+        # max x + y s.t. x + 2y <= 4, 3x + y <= 6: optimum (1.6, 1.2); with the
+        # first row's rhs at 1 the old basis is infeasible and y leaves
+        first = solve([1, 1], [[1, 2], [3, 1]], [LE, LE], [4, 6], maximize=True)
+        res = solve([1, 1], [[1, 2], [3, 1]], [LE, LE], [1, 6], maximize=True, start=self.start_of(first))
+        assert res.objective == pytest.approx(1.0)
+        assert res.x == pytest.approx([1.0, 0.0])
+        assert res.dual_iterations == res.iterations == 1
+
+    def test_bad_starts_refused(self):
+        args = ([1, 1], [[1, 2], [3, 1]], [LE, LE], [4, 6])
+        for start in [((0,), ()), ((0, 0), ()), ((0, 4), ()), ((0, 1), (0,)), ((0, 1), (2,))]:
+            with pytest.raises(SolverError, match="start is not a basis"):
+                solve(*args, maximize=True, start=start)
+        with pytest.raises(SolverError, match="singular"):
+            solve([1, 1], [[1, 1], [2, 2]], [LE, LE], [4, 8], maximize=True, start=((0, 1), ()))
+
+    def test_exact_mode_refuses_a_start(self):
+        first = solve([1, 1], [[1, 2], [3, 1]], [LE, LE], [4, 6], maximize=True)
+        with pytest.raises(SolverError, match="float mode"):
+            solve([1, 1], [[1, 2], [3, 1]], [LE, LE], [4, 6], maximize=True, exact=True, start=self.start_of(first))
