@@ -10,8 +10,8 @@ Three formulations over selection variables x_i in [0, 1]:
   same pair of rows as MINLP.  z* bounds the best cavg.
 
 AVGLP is stored with raw objective sum_j z_j and a rational scale 1/n
-applied when reporting, so the tableau holds only integers and halves
-and the exact solver mode stays exact.
+applied when reporting, so the constraint rows hold only integers and
+halves and the exact solver mode stays exact.
 """
 
 from __future__ import annotations

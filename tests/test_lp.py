@@ -140,6 +140,23 @@ class TestGoldenValues:
         assert sol.z_star == golden.MAXLP_OPT
         assert_all_fractions(sol)
 
+    # (formulation, s) -> (z*, iterations, basis) of the exact solve; any change to the
+    # engine that moves exact mode's pivot sequence shows here
+    EXACT_PIVOT_PATH = {
+        (Formulation.MINLP, 3): (Fraction(7, 5), 9, (8, 0, 11, 4, 6, 14, 1, 16, 17, 18, 7, 20, 21, 22, 9)),
+        (Formulation.MINLP, 6): (Fraction(2), 9, (8, 0, 11, 4, 9, 14, 1, 16, 17, 18, 7, 20, 21, 22, 23)),
+        (Formulation.MAXLP, 3): (Fraction(1, 10), 24, (0, 8, 6, 10, 13, 4, 15, 17, 18, 12, 19, 16, 21, 7, 22)),
+        (Formulation.MAXLP, 6): (Fraction(1), 29, (8, 11, 5, 10, 13, 20, 15, 18, 17, 14, 19, 16, 21, 12, 22)),
+        (Formulation.AVGLP, 3): (Fraction(41, 28), 20, (8, 1, 9, 4, 10, 15, 11, 0, 12, 24, 13, 26, 14, 17, 6)),
+        (Formulation.AVGLP, 6): (Fraction(20, 7), 26, (8, 21, 9, 15, 10, 2, 11, 7, 12, 24, 13, 26, 14, 28, 18)),
+    }
+
+    @pytest.mark.parametrize("form, s", list(EXACT_PIVOT_PATH), ids=lambda v: getattr(v, "value", v))
+    def test_exact_pivot_path_is_fixed(self, golden_instance, form, s):
+        sol = solve_formulation(golden_instance, s, form, exact=True)
+        assert (sol.z_star, sol.stats.iterations, sol.stats.basis) == self.EXACT_PIVOT_PATH[form, s]
+        assert_all_fractions(sol)
+
     def test_float_agrees_with_exact(self, golden_instance):
         for form, expect in (
             (Formulation.MINLP, golden.MINLP_OPT),

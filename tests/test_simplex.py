@@ -111,6 +111,22 @@ class TestExactMode:
             assert approx.objective == pytest.approx(float(exact.objective), abs=1e-9)
 
 
+class TestRedundantRow:
+    # max x1 + 2 x2 + x3 over [0, 1]^3 with x1 + x2 + x3 = 2 written twice and x1 <= 1: the second
+    # equality row is redundant, so its artificial column stays basic, pinned at 0
+    ARGS = ([1, 2, 1], [[1, 1, 1], [1, 1, 1], [1, 0, 0]], [EQ, EQ, LE], [2, 2, 1], [0, 0, 0], [1, 1, 1])
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_artificial_stays_basic(self, exact):
+        res = solve_simplex(*self.ARGS, maximize=True, exact=exact)
+        assert res.objective == 3
+        assert type(res.objective) is (Fraction if exact else float)
+        # columns 0-2 structural, 3 the slack of the LE row, 4 and 5 the artificials of the EQ rows
+        assert res.basis == (3, 5, 0)
+        assert list(res.x) == [1, 1, 0]
+        assert res.residual_primal == res.residual_bound == 0
+
+
 class TestResidualsAndDeterminism:
     def test_residuals_reported_small(self):
         res = solve([2, 3], [[1, 1], [1, 0]], [GE, GE], [4, 1])
