@@ -21,6 +21,7 @@ always an integer), so the identities become
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -107,8 +108,9 @@ def _check_names(names: Sequence[str] | None, count: int, prefix: str, what: str
     names = tuple(names)
     if len(names) != count:
         raise InputError(f"expected {count} {what} names, got {len(names)}")
-    if len(set(names)) != len(names):
-        dup = next(x for x in names if names.count(x) > 1)
+    counts = Counter(names)
+    if len(counts) != len(names):
+        dup = next(x for x in names if counts[x] > 1)
         raise InputError(f"duplicate {what} name {dup!r}")
     if any(not n for n in names):
         raise InputError(f"empty {what} name")

@@ -24,6 +24,8 @@ from .errors import InputError
 
 RESULT_SCHEMA_VERSION = 1
 
+_BINARY_TOKENS = frozenset("01")
+
 BENCH_COLUMNS = (
     "matrixId",
     "m",
@@ -72,20 +74,24 @@ def parse_matrix(text: str, label: str = "matrix") -> np.ndarray:
             raise InputError(
                 f"{label}: line {lineno}: expected {header[1]} entries, got {len(tokens)}"
             )
-        try:
-            row = [int(t) for t in tokens]
-        except ValueError:
-            raise InputError(f"{label}: line {lineno}: entries must be integers") from None
-        if any(v not in (0, 1) for v in row):
-            raise InputError(f"{label}: line {lineno}: entries must be 0 or 1")
-        rows.append(row)
+        if not _BINARY_TOKENS.issuperset(tokens):
+            # a token such as "01" or "+1" still reads as the integer it spells
+            try:
+                values = [int(t) for t in tokens]
+            except ValueError:
+                raise InputError(f"{label}: line {lineno}: entries must be integers") from None
+            if any(v not in (0, 1) for v in values):
+                raise InputError(f"{label}: line {lineno}: entries must be 0 or 1")
+            tokens = [str(v) for v in values]
+        rows.append("".join(tokens))
         if len(rows) > header[0]:
             raise InputError(f"{label}: more than {header[0]} matrix rows")
     if header is None:
         raise InputError(f"{label}: empty matrix file")
     if len(rows) != header[0]:
         raise InputError(f"{label}: expected {header[0]} rows, found {len(rows)}")
-    return np.array(rows, dtype=np.int8)
+    digits = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    return (digits - ord("0")).astype(np.int8).reshape(header)
 
 
 def format_names(instance: Instance) -> str:

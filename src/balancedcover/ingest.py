@@ -5,22 +5,41 @@ occurs as a contiguous substring of the clone sequence.  Sequences are
 normalized to uppercase on ingest.  Characters outside A/C/G/T are
 rejected by default; the lenient policy maps them to 'N', which never
 matches anything.
+
+The matrix is built block by block: the clones of a block are joined
+with 'N' separators, every window of each probe length is packed into a
+2-bit ``uint64`` code, and the codes are looked up among the sorted codes
+of the probes and their reverse complements.
 """
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import Instance
 from .errors import InputError
 
-_COMPLEMENT = {"A": "T", "C": "G", "G": "C", "T": "A"}
+_NON_ACGT = re.compile("[^ACGT]")
 # 'N' stands for an unknown base and complements to itself.
-_COMPLEMENT_N = dict(_COMPLEMENT, N="N")
+_COMPLEMENT = str.maketrans("ACGTN", "TGCAN")
+
+# Base codes: A, C, G, T -> 0..3 (so the complement of b is 3 - b); N -> 4.
+_N_CODE = 4
+_BASE_CODE = np.full(256, _N_CODE, dtype=np.uint8)
+_BASE_CODE[np.frombuffer(b"ACGT", dtype=np.uint8)] = np.arange(4, dtype=np.uint8)
+# A uint64 holds 32 two-bit bases; longer windows are keyed by their last 32.
+_MAX_CODE_BASES = 32
+# Clones are joined into blocks of about this many bases, so every
+# temporary is bounded by the block rather than by the whole input.
+_BLOCK_BASES = 1 << 15
+_FILTER_BITS = 16
+_FILTER_MASK = np.uint64((1 << _FILTER_BITS) - 1)
 
 
 class AmbiguityPolicy(Enum):
@@ -44,29 +63,25 @@ def normalize_bases(raw: str, policy: AmbiguityPolicy = AmbiguityPolicy.REJECT, 
     character becomes 'N'.
     """
     bases = raw.upper()
-    out = []
-    for pos, ch in enumerate(bases, start=1):
-        if ch in _COMPLEMENT:
-            out.append(ch)
-        elif policy is AmbiguityPolicy.NEVER_MATCH:
-            out.append("N")
-        else:
-            raise InputError(f"{label}: invalid base {ch!r} at position {pos}")
-    return "".join(out)
+    if policy is AmbiguityPolicy.NEVER_MATCH:
+        return _NON_ACGT.sub("N", bases)
+    bad = _NON_ACGT.search(bases)
+    if bad:
+        raise InputError(f"{label}: invalid base {bad.group()!r} at position {bad.start() + 1}")
+    return bases
 
 
 def reverse_complement(seq: str) -> str:
     """Reverse complement of an A/C/G/T string (e.g. ACGT -> ACGT, AAC -> GTT)."""
-    out = []
-    for pos, ch in enumerate(seq.upper(), start=1):
-        if ch not in _COMPLEMENT:
-            raise InputError(f"invalid base {ch!r} at position {pos}")
-        out.append(_COMPLEMENT[ch])
-    return "".join(reversed(out))
+    bases = seq.upper()
+    bad = _NON_ACGT.search(bases)
+    if bad:
+        raise InputError(f"invalid base {bad.group()!r} at position {bad.start() + 1}")
+    return bases.translate(_COMPLEMENT)[::-1]
 
 
 def _reverse_complement_lenient(seq: str) -> str:
-    return "".join(_COMPLEMENT_N[ch] for ch in reversed(seq))
+    return seq.translate(_COMPLEMENT)[::-1]
 
 
 def matches(clone: str, probe: str) -> bool:
@@ -89,61 +104,79 @@ def _matches_normalized(clone: str, probe: str) -> bool:
     return probe in clone or _reverse_complement_lenient(probe) in clone
 
 
-class _AhoCorasick:
-    """Multi-pattern substring scanner over the ACGT(N) alphabet.
+def _base_codes(text: str) -> np.ndarray:
+    """Base codes 0..4 of a normalized (ACGTN) string."""
+    return _BASE_CODE[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
 
-    Transitions are plain dicts; characters absent from every pattern
-    (such as 'N') fall back to the root via failure links, which is
-    exactly the never-match behaviour we need.
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """2-bit codes of the rows of a (count, k) base-code array, k <= 32."""
+    codes = np.zeros(rows.shape[0], dtype=np.uint64)
+    for col in rows.T:
+        codes = (codes << np.uint64(2)) | col
+    return codes
+
+
+@dataclass(frozen=True)
+class _ProbeTable:
+    """The probes of one length L (and their reverse complements), sorted by code.
+
+    ``patterns`` holds the bases of each entry; the code of a pattern
+    longer than 32 bases covers its last 32 bases only, so a code match
+    is confirmed against ``patterns``.  ``seen`` marks the low
+    ``_FILTER_BITS`` of every code, so most windows are dismissed by one
+    table read before the binary search.
     """
 
-    def __init__(self, patterns: Iterable[tuple[str, int]]):
-        self._goto: list[dict[str, int]] = [{}]
-        self._fail = [0]
-        self._out: list[set[int]] = [set()]
-        for pattern, tag in patterns:
-            self._add(pattern, tag)
-        self._build_failures()
+    length: int
+    codes: np.ndarray
+    probes: np.ndarray
+    patterns: np.ndarray
+    seen: np.ndarray
 
-    def _add(self, pattern: str, tag: int) -> None:
-        state = 0
-        for ch in pattern:
-            nxt = self._goto[state].get(ch)
-            if nxt is None:
-                nxt = len(self._goto)
-                self._goto[state][ch] = nxt
-                self._goto.append({})
-                self._fail.append(0)
-                self._out.append(set())
-            state = nxt
-        self._out[state].add(tag)
+    @classmethod
+    def build(cls, length: int, probes: list[int], bases: list[str]) -> _ProbeTable:
+        fwd = np.stack([_base_codes(bases[j]) for j in probes])
+        patterns = np.concatenate([fwd, 3 - fwd[:, ::-1]])
+        codes = _pack(patterns[:, max(0, length - _MAX_CODE_BASES) :])
+        order = np.argsort(codes, kind="stable")
+        seen = np.zeros(1 << _FILTER_BITS, dtype=bool)
+        seen[codes & _FILTER_MASK] = True
+        return cls(length, codes[order], np.array(probes + probes)[order], patterns[order], seen)
 
-    def _build_failures(self) -> None:
-        from collections import deque
+    def hits(self, keys: np.ndarray, block: np.ndarray, n_before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(window start, probe) for every probe whose code equals a window's.
 
-        queue = deque(self._goto[0].values())
-        while queue:
-            state = queue.popleft()
-            for ch, nxt in self._goto[state].items():
-                queue.append(nxt)
-                f = self._fail[state]
-                while f and ch not in self._goto[f]:
-                    f = self._fail[f]
-                # nxt sits at depth >= 2, goto[f][ch] strictly shallower,
-                # so this can never point a node at itself.
-                self._fail[nxt] = self._goto[f].get(ch, 0)
-                self._out[nxt] |= self._out[self._fail[nxt]]
+        ``keys[p]`` is the code of the window of this length that starts
+        at ``block[p]``; ``n_before[p]`` counts the N's in ``block[:p]``.
+        """
+        start = np.flatnonzero(self.seen[keys & _FILTER_MASK])
+        # a window holding an N (such as a clone separator) never matches
+        start = start[n_before[start + self.length] == n_before[start]]
+        keys = keys[start]
+        lo = np.searchsorted(self.codes, keys)
+        found = self.codes[np.minimum(lo, self.codes.size - 1)] == keys
+        start, lo = start[found], lo[found]
+        count = np.searchsorted(self.codes, keys[found], side="right") - lo
+        # one row per (window, table entry) sharing its code
+        entry = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        start = np.repeat(start, count)
+        if self.length > _MAX_CODE_BASES:
+            same = (block[start[:, None] + np.arange(self.length)] == self.patterns[entry]).all(axis=1)
+            start, entry = start[same], entry[same]
+        return start, self.probes[entry]
 
-    def scan(self, text: str) -> set[int]:
-        found: set[int] = set()
-        state = 0
-        for ch in text:
-            while state and ch not in self._goto[state]:
-                state = self._fail[state]
-            state = self._goto[state].get(ch, 0)
-            if self._out[state]:
-                found |= self._out[state]
-        return found
+
+def _blocks(bases: list[str]) -> list[tuple[int, int]]:
+    """[first, stop) clone ranges of about _BLOCK_BASES bases each, never empty."""
+    blocks, first, size = [], 0, 0
+    for i, seq in enumerate(bases):
+        if size and size + len(seq) > _BLOCK_BASES:
+            blocks.append((first, i))
+            first, size = i, 0
+        size += len(seq) + 1
+    blocks.append((first, len(bases)))
+    return blocks
 
 
 def build_instance(
@@ -153,9 +186,13 @@ def build_instance(
 ) -> Instance:
     """Build the clone-probe adjacency matrix from sequence records.
 
-    One multi-pattern automaton over all probes and their reverse
-    complements scans each clone once; entry (i, j) is 1 exactly when
-    ``matches`` holds for clone i and probe j.
+    Entry (i, j) is 1 exactly when ``matches`` holds for clone i and
+    probe j.  Clones are taken in blocks of about 2^15 bases joined by
+    'N'; for each probe length L, every window of L bases that holds no
+    'N' (so none spans two clones) is packed into a 2-bit code and looked
+    up among the sorted codes of the probes of length L and their
+    reverse complements.  A code keeps at most 32 bases, so for L > 32 a
+    code match is confirmed by comparing the window's bases.
     """
     if not clones:
         raise InputError("no clones")
@@ -172,19 +209,34 @@ def build_instance(
             raise InputError(f"sequence {rec.name!r} is empty")
     m, n = len(norm_clones), len(norm_probes)
     matrix = np.zeros((m, n), dtype=np.int8)
-    patterns = []
-    for j, probe in enumerate(norm_probes):
-        # a probe containing 'N' never matches, so it gets no pattern
-        if "N" in probe.bases:
-            continue
-        patterns.append((probe.bases, j))
-        rc = _reverse_complement_lenient(probe.bases)
-        if rc != probe.bases:
-            patterns.append((rc, j))
-    automaton = _AhoCorasick(patterns)
-    for i, clone in enumerate(norm_clones):
-        for j in automaton.scan(clone.bases):
-            matrix[i, j] = 1
+    probe_bases = [r.bases for r in norm_probes]
+    by_length: dict[int, list[int]] = {}
+    for j, seq in enumerate(probe_bases):
+        # a probe containing 'N' never matches, so it gets no entry
+        if "N" not in seq:
+            by_length.setdefault(len(seq), []).append(j)
+    tables = [_ProbeTable.build(length, js, probe_bases) for length, js in sorted(by_length.items())]
+    clone_bases = [r.bases for r in norm_clones]
+    for first, stop in _blocks(clone_bases):
+        block = _base_codes("N".join(clone_bases[first:stop]))
+        starts = np.cumsum([0] + [len(seq) + 1 for seq in clone_bases[first : stop - 1]])
+        n_before = np.concatenate([[0], np.cumsum(block == _N_CODE)])
+        codes = block.astype(np.uint64)
+        k = 1
+        for table in tables:
+            count = block.size - table.length + 1
+            if count <= 0:
+                break
+            key_bases = min(table.length, _MAX_CODE_BASES)
+            while k < key_bases:
+                # codes[p] packs block[p : p + k]; an N (code 4) garbles
+                # only the codes of windows that hold it, and hits() rejects those
+                codes = (codes[:-1] << np.uint64(2)) | block[k:]
+                k += 1
+            offset = table.length - key_bases
+            start, probe = table.hits(codes[offset : offset + count], block, n_before)
+            clone = np.searchsorted(starts, start, side="right") - 1
+            matrix[first + clone, probe] = 1
     return Instance(
         matrix,
         clone_names=[r.name for r in norm_clones],
@@ -223,9 +275,9 @@ def parse_fasta(text: str, label: str = "input") -> list[SequenceRecord]:
     flush()
     if not records:
         raise InputError(f"{label}: no FASTA records found")
-    names = [r.name for r in records]
-    if len(set(names)) != len(names):
-        dup = next(x for x in names if names.count(x) > 1)
+    counts = Counter(r.name for r in records)
+    if len(counts) != len(records):
+        dup = next(r.name for r in records if counts[r.name] > 1)
         raise InputError(f"{label}: duplicate record name {dup!r}")
     return records
 

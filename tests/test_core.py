@@ -223,6 +223,10 @@ class TestInstanceValidation:
         with pytest.raises(InputError):
             Instance(np.eye(2, dtype=np.int8), clone_names=["a", "a"])
 
+    def test_duplicate_reported_first_in_input_order(self):
+        with pytest.raises(InputError, match="duplicate clone name 'a'"):
+            Instance(np.zeros((4, 1), dtype=np.int8), clone_names=["a", "b", "b", "a"])
+
     def test_empty_name(self):
         with pytest.raises(InputError):
             Instance(np.eye(2, dtype=np.int8), probe_names=["p1", ""])

@@ -77,6 +77,17 @@ class TestMatrixFormat:
         with pytest.raises(InputError):
             parse_matrix("1 2\n1 2\n")
 
+    @pytest.mark.parametrize("token", ["01", "+1"])
+    def test_integer_spellings_of_one_accepted(self, token):
+        assert parse_matrix(f"2 2\n1 0\n0 {token}\n").tolist() == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize(
+        "token,message", [("2", "line 3: entries must be 0 or 1"), ("x", "line 3: entries must be integers")]
+    )
+    def test_bad_token_names_its_line(self, token, message):
+        with pytest.raises(InputError, match=message):
+            parse_matrix(f"2 2\n1 0\n0 {token}\n")
+
     def test_garbage_header(self):
         with pytest.raises(InputError):
             parse_matrix("two seven\n")

@@ -16,7 +16,8 @@ from balancedcover import (
     parse_sequences,
     reverse_complement,
 )
-from balancedcover.ingest import _AhoCorasick, _matches_normalized, normalize_bases
+from balancedcover import ingest
+from balancedcover.ingest import _matches_normalized, _reverse_complement_lenient, normalize_bases
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=40)
 
@@ -107,9 +108,57 @@ class TestMatches:
         assert matches(clone, probe) == expect
 
 
-def per_pair_reference(clones, probes):
-    """The adjacency matrix from the public per-pair predicate, one pair at a time."""
-    return np.array([[matches(c.bases, p.bases) for p in probes] for c in clones], dtype=np.int8)
+def per_pair_reference(clones, probes, policy=AmbiguityPolicy.REJECT):
+    """The adjacency matrix from the per-pair predicate, one pair at a time.
+
+    Under REJECT this is the public ``matches``; ``matches`` refuses 'N',
+    so under NEVER_MATCH the predicate it wraps runs on the normalized bases.
+    """
+    if policy is AmbiguityPolicy.REJECT:
+        return np.array([[matches(c.bases, p.bases) for p in probes] for c in clones], dtype=np.int8)
+    norm_clones = [normalize_bases(c.bases, policy) for c in clones]
+    norm_probes = [normalize_bases(p.bases, policy) for p in probes]
+    return np.array([[_matches_normalized(c, p) for p in norm_probes] for c in norm_clones], dtype=np.int8)
+
+
+def _random_bases(rng, size, alphabet="ACGT"):
+    return "".join(rng.choice(list(alphabet), size=size))
+
+
+def _mixed_probes(rng, clones, count):
+    """Probes of 1-70 bases: clone substrings in either orientation, decoys
+    that share only the last 32 bases of a clone window, duplicates,
+    reverse-complement palindromes, probes longer than every clone, and
+    random probes, some with an ambiguous base."""
+    probes = []
+    longest = max(len(c) for c in clones)
+    for _ in range(count):
+        clone = normalize_bases(clones[rng.integers(len(clones))], AmbiguityPolicy.NEVER_MATCH)
+        length = int(rng.integers(1, 71))
+        at = int(rng.integers(0, max(1, len(clone) - length)))
+        kind = rng.integers(0, 8)
+        if kind == 0:
+            probe = clone[at : at + length]
+        elif kind == 1:
+            probe = _reverse_complement_lenient(clone[at : at + length])
+        elif kind == 2 and len(clone) > 33:
+            # differs from a clone window only in its first base
+            window = clone[at : at + max(length, 33)]
+            probe = "ACGT"[("ACGTN".index(window[0]) + 1) % 4] + window[1:]
+        elif kind == 3 and probes:
+            probe = probes[rng.integers(len(probes))]
+        elif kind == 4:
+            half = _random_bases(rng, max(1, length // 2))
+            probe = half + _reverse_complement_lenient(half)
+        elif kind == 5:
+            probe = _random_bases(rng, longest + 1)
+        elif kind == 6:
+            probe = _random_bases(rng, length, "ACGTN")
+        else:
+            probe = _random_bases(rng, length)
+        probe = probe or "A"
+        probes.append(probe.lower() if rng.random() < 0.2 else probe)
+    return probes
 
 
 class TestBuildInstance:
@@ -176,17 +225,52 @@ class TestBuildInstance:
             build_instance(golden_clones, [])
 
 
-class TestAhoCorasick:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        text=st.text(alphabet="ACGT", min_size=0, max_size=40),
-        patterns=st.lists(st.text(alphabet="ACGT", min_size=1, max_size=5), min_size=1, max_size=8),
-    )
-    def test_scan_agrees_with_substring_search(self, text, patterns):
-        automaton = _AhoCorasick((p, i) for i, p in enumerate(patterns))
-        found = automaton.scan(text)
-        expect = {i for i, p in enumerate(patterns) if p in text}
-        assert found == expect
+class TestBuildInstanceDifferential:
+    """build_instance against the per-pair predicate on inputs that reach
+    every part of the block-wise code lookup."""
+
+    @pytest.mark.parametrize("policy", list(AmbiguityPolicy))
+    def test_agrees_with_per_pair_reference(self, policy):
+        rng = np.random.default_rng(2024)
+        alphabet = "ACGTacgt" if policy is AmbiguityPolicy.REJECT else "ACGTacgtNX"
+        for _ in range(30):
+            clones = [_random_bases(rng, rng.integers(1, 300), alphabet) for _ in range(rng.integers(1, 12))]
+            probes = _mixed_probes(rng, clones, rng.integers(1, 16))
+            if policy is AmbiguityPolicy.REJECT:
+                probes = [p.replace("N", "A").replace("n", "a") for p in probes]
+            self._check(clones, probes, policy)
+
+    def test_clones_spanning_several_blocks(self):
+        # about 3 blocks; the 40k clone is longer than a block, so it
+        # fills one block on its own
+        rng = np.random.default_rng(7)
+        clones = [_random_bases(rng, rng.integers(500, 4000), "ACGTN") for _ in range(30)]
+        clones.insert(12, _random_bases(rng, ingest._BLOCK_BASES + 7000, "ACGTN"))
+        probes = _mixed_probes(rng, clones, 60)
+        blocks = ingest._blocks(clones)
+        assert len(blocks) >= 3
+        assert (12, 13) in blocks
+        self._check(clones, probes, AmbiguityPolicy.NEVER_MATCH)
+
+    def test_many_block_boundaries(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_BASES", 50)
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            clones = [_random_bases(rng, rng.integers(1, 80), "ACGTN") for _ in range(rng.integers(1, 20))]
+            self._check(clones, _mixed_probes(rng, clones, 20), AmbiguityPolicy.NEVER_MATCH)
+
+    def test_duplicates_and_palindromes(self):
+        clones = [SequenceRecord("c1", "TTACGTAA"), SequenceRecord("c2", "GGGG")]
+        probes = [SequenceRecord(f"p{j}", seq) for j, seq in enumerate(["ACGT", "acgt", "CCCC", "GGGG", "ACGTA"])]
+        inst = build_instance(clones, probes)
+        assert inst.adjacency.tolist() == [[1, 1, 0, 0, 1], [0, 0, 1, 1, 0]]
+
+    @staticmethod
+    def _check(clones, probes, policy):
+        clones = [SequenceRecord(f"c{i}", seq) for i, seq in enumerate(clones)]
+        probes = [SequenceRecord(f"p{j}", seq) for j, seq in enumerate(probes)]
+        inst = build_instance(clones, probes, ambiguity=policy)
+        assert np.array_equal(inst.adjacency, per_pair_reference(clones, probes, policy))
 
 
 class TestParsers:
@@ -206,6 +290,10 @@ class TestParsers:
     def test_fasta_duplicate_names(self):
         with pytest.raises(InputError):
             parse_fasta(">c1\nAC\n>c1\nGT\n")
+
+    def test_fasta_duplicate_reported_first_in_input_order(self):
+        with pytest.raises(InputError, match="duplicate record name 'a'"):
+            parse_fasta(">a\nAC\n>b\nGT\n>b\nGT\n>a\nAC\n")
 
     def test_plain_lines_autonamed(self):
         records = parse_sequences("ACGT\n\nTTAA\n", "p")
