@@ -211,9 +211,10 @@ def _check_budget(instance: Instance, s) -> int:
 
 def compute_degrees(instance: Instance, selected: Iterable[int]) -> np.ndarray:
     """Per-probe count of selected neighbouring clones, as an int vector."""
-    sel = _normalize_selection(instance, selected)
-    if not sel:
-        return np.zeros(instance.num_probes, dtype=np.int64)
+    return _degrees(instance, _normalize_selection(instance, selected))
+
+
+def _degrees(instance: Instance, sel: tuple[int, ...]) -> np.ndarray:
     return instance.adjacency[list(sel), :].sum(axis=0, dtype=np.int64)
 
 
@@ -227,7 +228,7 @@ def evaluate(instance: Instance, selected: Iterable[int], budget: int) -> CoverS
     s = _check_budget(instance, budget)
     if len(sel) > s:
         raise InputError(f"selection has {len(sel)} clones, exceeds budget s={s}")
-    deg = compute_degrees(instance, sel)
+    deg = _degrees(instance, sel)
     return CoverSolution(
         selected=sel,
         budget=s,

@@ -21,10 +21,16 @@ with more restarts reproduces the earlier trials exactly.
 
 Repair never adds clones for the rcm family, so selections can end
 below s; the pad policy then optionally tops the selection up to s with
-random or greedily chosen clones.  Padding trades the guarantees of the
-analysis (which describe the pre-pad selection) for full-size
-selections and can move any objective either way, so the report records
-the objective both before and after it.
+random clones, or greedily: one clone at a time, the clone that most
+improves the objective, ties to the lowest clone index.  Padding trades
+the guarantees of the analysis (which describe the pre-pad selection)
+for full-size selections and can move any objective either way, so the
+report records the objective both before and after it.
+
+Trials are scored on integer degree vectors, and compared on the
+integer objective score, whose denominator is the same for every
+trial.  Only the best trial becomes a ``CoverSolution``, through the
+public ``evaluate``.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .core import (
     CoverSolution,
     Instance,
     ObjectiveKind,
-    compute_degrees,
+    _check_budget,
     evaluate,
     objective_denominator,
     objective_scores,
@@ -170,23 +176,27 @@ def shrink_parameter(algorithm: Algorithm, z_star: float, num_probes: int) -> fl
     return None
 
 
-def _probabilities(algorithm: Algorithm, lp_solution: FractionalSolution, num_probes: int):
-    x = np.clip(np.asarray(lp_solution.x, dtype=float), 0.0, 1.0)
-    z = float(lp_solution.z_star)
-    shrink = shrink_parameter(algorithm, z, num_probes)
+def _probabilities(algorithm: Algorithm, x_star: np.ndarray, z_star: float, num_probes: int):
+    shrink = shrink_parameter(algorithm, z_star, num_probes)
     if algorithm is Algorithm.RCM2:
-        return (1.0 - shrink) * x, shrink
+        return (1.0 - shrink) * x_star, shrink
     if algorithm is Algorithm.RCA2:
         if shrink is None:
-            return np.zeros_like(x), None
-        return x / (1.0 + shrink), shrink
-    return x, None
+            return np.zeros_like(x_star), None
+        return x_star / (1.0 + shrink), shrink
+    return x_star, None
 
 
-def _raw_objective(instance: Instance, selected: np.ndarray, s: int, kind: ObjectiveKind) -> float:
-    deg = compute_degrees(instance, selected.tolist())
-    target = int(selected.size) if kind.maximize else s
-    return float(objective_scores(deg, target, kind)) / objective_denominator(kind, instance.num_probes)
+def _score(adjacency: np.ndarray, selected: np.ndarray, s: int, kind: ObjectiveKind) -> int:
+    """Integer objective score of a selection (see ``objective_scores``)."""
+    return int(objective_scores(adjacency[selected].sum(axis=0, dtype=np.int64), s, kind))
+
+
+def _unselected(selected: np.ndarray, m: int) -> np.ndarray:
+    """The clones outside ``selected``, in increasing index order."""
+    taken = np.zeros(m, dtype=bool)
+    taken[selected] = True
+    return np.flatnonzero(~taken)
 
 
 def _drop_excess(selected: np.ndarray, count: int, x_star: np.ndarray, rng: np.random.Generator, policy: RepairPolicy) -> np.ndarray:
@@ -202,7 +212,7 @@ def _drop_excess(selected: np.ndarray, count: int, x_star: np.ndarray, rng: np.r
 
 
 def _fill_shortfall(selected: np.ndarray, count: int, x_star: np.ndarray, rng: np.random.Generator, policy: RepairPolicy, m: int) -> np.ndarray:
-    pool = np.setdiff1d(np.arange(m), selected)
+    pool = _unselected(selected, m)
     if policy is RepairPolicy.RANDOM:
         added = rng.choice(pool, size=count, replace=False)
     else:
@@ -220,27 +230,37 @@ def _pad(
     rng: np.random.Generator,
     policy: PadPolicy,
 ) -> np.ndarray:
+    """Top ``selected`` up to s clones.  Only cmin and cavg selections are padded."""
     need = s - selected.size
     if need <= 0 or policy is PadPolicy.NONE:
         return selected
-    pool = np.setdiff1d(np.arange(instance.num_clones), selected)
     if policy is PadPolicy.RANDOM:
-        added = rng.choice(pool, size=need, replace=False)
+        added = rng.choice(_unselected(selected, instance.num_clones), size=need, replace=False)
         return np.sort(np.concatenate([selected, added]))
-    # greedy: repeatedly add the clone that best helps the objective,
-    # ties to the lowest clone index
+    # greedy: repeatedly add the clone that best helps the objective, ties
+    # to the lowest clone index.  A probe at degree d scores min(d, s - d);
+    # a candidate changes the degree of exactly the probes it hits.
     a = instance.adjacency
-    deg = compute_degrees(instance, selected.tolist()).astype(np.int64)
-    chosen = list(selected)
-    pool = list(pool)
+    if kind is ObjectiveKind.CAVG:
+        rows = a.astype(np.float64)
+    else:
+        hits = a.view(np.bool_)
+    deg = a[selected].sum(axis=0, dtype=np.int64)
+    taken = np.zeros(instance.num_clones, dtype=bool)
+    taken[selected] = True
     for _ in range(need):
-        cand_rows = a[pool, :].astype(np.int64)
-        new_deg = deg[None, :] + cand_rows
-        score = objective_scores(new_deg, s, kind)
-        best = int(np.argmax(score) if kind.maximize else np.argmin(score))
-        deg = new_deg[best]
-        chosen.append(pool.pop(best))
-    return np.sort(np.array(chosen, dtype=np.intp))
+        low0 = np.minimum(deg, s - deg)
+        low1 = np.minimum(deg + 1, s - deg - 1)
+        if kind is ObjectiveKind.CAVG:
+            # the candidate's sum is the current sum plus its gains
+            score = rows @ (low1 - low0).astype(np.float64)
+        else:
+            score = np.where(hits, low1, low0).min(axis=1).astype(np.float64)
+        score[taken] = -np.inf
+        best = int(np.argmax(score))
+        taken[best] = True
+        deg += a[best]
+    return np.flatnonzero(taken)
 
 
 def _single_round(
@@ -252,13 +272,16 @@ def _single_round(
     algorithm: Algorithm,
     config: RoundingConfig,
     trial: int,
-) -> tuple[CoverSolution, RestartOutcome]:
+) -> tuple[np.ndarray, int, RestartOutcome]:
+    """One trial: its final selection, integer score and outcome."""
     rng, derived = _trial_rng(config.seed, trial)
+    a = instance.adjacency
     m = instance.num_clones
+    den = objective_denominator(kind, instance.num_probes)
     draw = rng.random(m) < probs
     selected = np.flatnonzero(draw)
     sampled = int(selected.size)
-    raw = _raw_objective(instance, selected, s, kind)
+    raw = _score(a, selected, sampled if kind.maximize else s, kind)
 
     if algorithm is Algorithm.RDM:
         excess = sampled - s
@@ -273,21 +296,21 @@ def _single_round(
             selected = _drop_excess(selected, excess, x_star, rng, config.repair_policy)
         repaired = excess
 
-    pre_pad = evaluate(instance, selected.tolist(), s)
+    pre_pad = _score(a, selected, s, kind)
     if algorithm is not Algorithm.RDM:
         selected = _pad(instance, selected, s, kind, rng, config.pad_policy)
-    final = evaluate(instance, selected.tolist(), s)
+    final = _score(a, selected, s, kind)
     outcome = RestartOutcome(
         trial=trial,
         derived_seed=derived,
         sampled_size=sampled,
-        raw_value=raw,
+        raw_value=raw / den,
         violations_repaired=repaired,
-        pre_pad_value=pre_pad.value(kind),
-        value=final.value(kind),
-        selected_size=len(final.selected),
+        pre_pad_value=pre_pad / den,
+        value=final / den,
+        selected_size=int(selected.size),
     )
-    return final, outcome
+    return selected, final, outcome
 
 
 def _lp_for(instance: Instance, s: int, algorithm: Algorithm, lp_solution: FractionalSolution | None) -> FractionalSolution:
@@ -317,30 +340,27 @@ def solve_end_to_end(
     (davg = s/2 - cavg), so maximize cavg via rca/rca2.
     """
     lp_solution = _lp_for(instance, s, config.algorithm, lp_solution)
+    s = _check_budget(instance, s)
     kind = ALGORITHM_OBJECTIVE[config.algorithm]
     x_star = np.clip(np.asarray(lp_solution.x, dtype=float), 0.0, 1.0)
-    probs, eps_lambda = _probabilities(config.algorithm, lp_solution, instance.num_probes)
+    probs, eps_lambda = _probabilities(config.algorithm, x_star, float(lp_solution.z_star), instance.num_probes)
 
-    best: CoverSolution | None = None
-    best_trial = -1
+    best_selected, best_score, best_trial = None, 0, -1
     outcomes = []
     for t in range(config.restarts):
-        solution, outcome = _single_round(
+        selected, score, outcome = _single_round(
             instance, s, probs, x_star, kind, config.algorithm, config, trial=t
         )
         outcomes.append(outcome)
-        if best is None:
-            best, best_trial = solution, t
-            continue
-        new, old = solution.exact_value(kind), best.exact_value(kind)
-        if (kind.maximize and new > old) or (not kind.maximize and new < old):
-            best, best_trial = solution, t
+        # every trial's score has the same denominator; ties keep the earliest
+        if best_selected is None or (score > best_score if kind.maximize else score < best_score):
+            best_selected, best_score, best_trial = selected, score, t
     return RoundingReport(
         config=config,
         objective=kind,
         lp=lp_solution,
         epsilon_or_lambda=eps_lambda,
         outcomes=tuple(outcomes),
-        best=best,
+        best=evaluate(instance, best_selected.tolist(), s),
         best_trial=best_trial,
     )
