@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import Instance, _check_budget
 from .errors import InputError, SolverError
-from .simplex import EQ, GE, LE, solve_simplex
+from .simplex import EQ, GE, LE, SimplexResult, solve_simplex
 
 
 class Formulation(Enum):
@@ -83,36 +83,18 @@ class LpProblem:
 
 
 @dataclass(frozen=True)
-class SolverStats:
-    """The simplex's diagnostics and the optimal basis it stopped at.
-
-    ``basis`` and ``at_upper`` (the nonbasic columns at their upper bound) can
-    start a solve of the same LP at another s.  ``iterations`` counts every
-    pivot, ``dual_iterations`` the dual simplex pivots of a warm start among
-    them; ``warm_start`` says whether the result was reached from a start.
-    """
-
-    iterations: int
-    basis: tuple[int, ...]
-    residual_primal: float
-    residual_bound: float
-    residual_dual: float
-    at_upper: tuple[int, ...] = ()
-    warm_start: bool = False
-    dual_iterations: int = 0
-
-
-@dataclass(frozen=True)
 class FractionalSolution:
     """Optimal LP value and the fractional selection vector x*.
 
     ``z_star`` is a float normally, a Fraction when solved exactly.
+    ``stats`` is the simplex's result: its diagnostics, and the optimal
+    basis, which can start a solve of the same LP at another s.
     """
 
     formulation: Formulation
     z_star: float | Fraction
     x: np.ndarray
-    stats: SolverStats
+    stats: SimplexResult
 
 
 def build_lp(instance: Instance, s: int, formulation: Formulation) -> LpProblem:
@@ -164,23 +146,54 @@ def build_lp(instance: Instance, s: int, formulation: Formulation) -> LpProblem:
     )
 
 
-def solve_lp(problem: LpProblem, *, exact: bool = False, start: SolverStats | None = None) -> FractionalSolution:
+def _crash_start(problem: LpProblem) -> tuple[np.ndarray, list[int]]:
+    """A primal feasible basis of a ``build_lp`` problem, as a simplex ``start``.
+
+    The s evenly spaced clones (i*m)//s sit at their upper bound 1 and every
+    z at 0.  Every MinLP and AvgLP row then holds with its slack basic, at
+    deg_j, s - deg_j or 0; at x = 0 every z_j <= sum_i x_i - deg_j row
+    would be tight, a degenerate start.  MaxLP's budget row is an equality
+    without a slack, where the last chosen clone is basic, and z is basic
+    at max_j |deg_j - s/2| in place of the slack of the tightest probe row.
+    """
+    m = problem.num_selection_vars
+    s = int(problem.rhs[-1])
+    chosen = [i * m // s for i in range(s)]
+    # every row but MaxLP's budget row is an inequality, so row i's slack is column num_vars + i
+    basis = problem.num_vars + np.arange(problem.num_rows)
+    if problem.formulation is not Formulation.MAXLP:
+        return basis, chosen
+    deviation = problem.A[0:-1:2, chosen].sum(axis=1) - s / 2.0
+    j = int(np.argmax(np.abs(deviation)))
+    # deg_j - z <= s/2 is row 2j, deg_j + z >= s/2 is row 2j + 1
+    basis[2 * j + int(deviation[j] < 0)] = m
+    basis[-1] = chosen[-1]
+    return basis, chosen[:-1]
+
+
+def solve_lp(problem: LpProblem, *, exact: bool = False, start: SimplexResult | None = None) -> FractionalSolution:
     """Solve a built LP and report the scaled optimum and x* slice.
 
     Repeated calls on an equal problem return bit-identical results:
     the solver's pivot rules are deterministic and depend only on the
     problem data (and ``start``).
 
-    ``start``, the stats of a float solve of the same LP with another
-    right-hand side, starts the simplex from that solve's optimal basis
-    (dual simplex pivots, then primal ones).  The optimum is the same; x*
-    may be another optimal vertex.  Its basis must hold no artificial
-    column (see ``solve_sweep``).
+    A float solve starts from ``start``, the stats of a float solve of the
+    same LP with another right-hand side: the simplex runs dual pivots from
+    that solve's optimal basis, then primal ones.  Without a start it starts
+    from a crash basis (``_crash_start``), which is primal feasible for a
+    problem made by ``build_lp``, so it runs primal pivots only.  The
+    optimum is the same either way; x* may be another optimal vertex.  An
+    exact solve takes no start and runs the two-phase simplex from x = 0.
 
     The returned x* is certified: a constraint or bound violated by more
     than 1e-7 * max(1, max |rhs|) raises SolverError naming the LP and the
     residual, so a drifted solve never reports a wrong optimum.
     """
+    if start is not None:
+        basis = (start.basis, start.at_upper)
+    else:
+        basis = None if exact else _crash_start(problem)
     res = solve_simplex(
         problem.c,
         problem.A,
@@ -190,7 +203,7 @@ def solve_lp(problem: LpProblem, *, exact: bool = False, start: SolverStats | No
         problem.upper,
         maximize=problem.maximize,
         exact=exact,
-        start=None if start is None else (start.basis, start.at_upper),
+        start=basis,
     )
     limit = 1e-7 * max(1.0, float(np.abs(problem.rhs).max()))
     for what, value in (("primal", res.residual_primal), ("bound", res.residual_bound)):
@@ -201,37 +214,23 @@ def solve_lp(problem: LpProblem, *, exact: bool = False, start: SolverStats | No
     z = res.objective * num / den + 0
     x = res.x[: problem.num_selection_vars].copy()
     x.setflags(write=False)
-    stats = SolverStats(
-        iterations=res.iterations,
-        basis=res.basis,
-        residual_primal=res.residual_primal,
-        residual_bound=res.residual_bound,
-        residual_dual=res.residual_dual,
-        at_upper=res.at_upper,
-        warm_start=res.warm_start,
-        dual_iterations=res.dual_iterations,
-    )
-    return FractionalSolution(formulation=problem.formulation, z_star=z, x=x, stats=stats)
+    return FractionalSolution(formulation=problem.formulation, z_star=z, x=x, stats=res)
 
 
 def solve_sweep(instance: Instance, s_values, formulation: Formulation) -> list[FractionalSolution]:
     """Solve one relaxation at every s in ``s_values``, in order, in float mode.
 
-    s enters the LP only through the right-hand side, so each solve after
-    the first starts from the previous optimal basis (``solve_lp``'s
-    ``start``).  A basis that holds an artificial column (a redundant row
-    kept at 0) cannot start a solve; that s is solved cold.  Each z* equals
-    a standalone ``solve_formulation`` up to float rounding and passes the
-    same residual certificate; x* may be another optimal vertex, which
-    depends on the s values solved before it.
+    The first s starts from the crash basis.  s enters the LP only through
+    the right-hand side, so each solve after it starts from the previous
+    optimal basis (``solve_lp``'s ``start``).  Each z* equals a standalone
+    ``solve_formulation`` up to float rounding and passes the same residual
+    certificate; x* may be another optimal vertex, which depends on the s
+    values solved before it.
     """
     solutions: list[FractionalSolution] = []
     for s in s_values:
-        problem = build_lp(instance, s, formulation)
-        # the simplex's columns: structural, one slack per inequality row, then artificials
-        columns = problem.num_vars + sum(rel != EQ for rel in problem.relations)
-        start = solutions[-1].stats if solutions and max(solutions[-1].stats.basis) < columns else None
-        solutions.append(solve_lp(problem, start=start))
+        start = solutions[-1].stats if solutions else None
+        solutions.append(solve_lp(build_lp(instance, s, formulation), start=start))
     return solutions
 
 

@@ -231,7 +231,7 @@ def estimate_excess_expectation(
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InputError("probabilities must be a nonempty 1-d vector")
-    if (p < 0).any() or (p > 1).any():
+    if not ((p >= 0) & (p <= 1)).all():
         raise InputError("probabilities must lie in [0, 1]")
     if not 0 < epsilon <= 1:
         raise InputError(f"epsilon must lie in (0, 1], got {epsilon}")

@@ -26,37 +26,31 @@ original columns of the current basis, and the reduced costs priced
 again.  The final step refactorizes once more and snaps every value
 within 1e-9 of a bound onto it.
 
-Degenerate pivots (steps of length 0) are how a float solve stalls.
-The first time a run of 100 + rows of them occurs, the solve is dropped
-and started again from scratch, with the right-hand side of every row
-whose slack starts basic relaxed by U(1e-6, 1e-5) * (1 + |rhs_i|), drawn
-from a fixed-seed generator so repeated solves stay bit-identical; the
-final refactorization restores the true right-hand side.  Iterations of
-both attempts count, against one limit.  A restarted solve that stalls
-again switches to Bland's rule for the rest of the run, and back once a
-step makes progress.  Rows with an artificial variable are never
-relaxed, so a solve whose degeneracy lies there (or that has no
-starting slack to relax) relies on Bland's rule alone.
+Degenerate pivots (steps of length 0) can cycle.  A float solve
+switches to Bland's rule once a run of 100 + rows of them occurs, and
+back once a step makes progress.
 
 One engine body runs in float or in exact arithmetic over
 `fractions.Fraction`; every array takes the dtype of T0.  Exact
 mode, practical for small systems and used to cross-check the float
 path, differs in the Fraction inputs and zero tolerances, in running
 Bland's rule throughout, and in having none of the float repairs: no
-refactorization, no restart from a perturbed right-hand side and no
-snap onto the bounds.
+refactorization and no snap onto the bounds.
 
-A float solve may start from the optimal basis of the same LP with
-another right-hand side (``start``: that basis and which of its
-nonbasic columns sat at their upper bound).  The columns are the
-structural ones, then one slack per inequality row, then the
-artificials; a start must use the first two kinds only, so a warm
-engine is built without artificial columns.  Row sign flips made by a
-cold start do not matter, because B^-1 A and the basic values do not
-change when rows are scaled.  Only the right-hand side moved, so the
-start is still dual feasible: the engine puts each nonbasic column at
-its bound, refactorizes, and runs dual simplex pivots until every
-basic value lies within its bounds up to the reduced-cost tolerance.
+A float solve may start from a given basis (``start``: the basis and
+which of its nonbasic columns sit at their upper bound): the optimal
+basis of the same LP with another right-hand side, or a crash basis
+built from the LP's structure.  The columns are the structural ones,
+then one slack per inequality row, then the artificials; a start must
+use the first two kinds only, so a started engine has no artificial
+column and no phase 1.  Row sign flips made by a cold start do not
+matter, because B^-1 A and the basic values do not change when rows
+are scaled.  The engine puts each nonbasic column at its bound,
+refactorizes, and runs dual simplex pivots until every basic value
+lies within its bounds up to the reduced-cost tolerance.  A primal
+feasible start, such as a crash basis, needs no dual pivot and goes
+straight to the primal loop.  The dual pivots rely on a dual feasible
+start, which an optimal basis stays when only the right-hand side moves.
 The leaving row is the one with the largest infeasibility (ties to the
 lowest row); with alpha = B^-1[r] T0 its pivot row, the entering
 column minimizes |d_j / alpha_j| over the nonbasic columns whose move
@@ -69,9 +63,7 @@ fixed-seed generator.  The primal loop then
 runs on the true costs: it confirms optimality, or pivots on the few
 reduced costs the perturbation left on the wrong side.  The dual phase
 shares the refactorization every 512 iterations and the iteration
-limit with the primal loop.  If the primal loop after it stalls, the
-warm engine is dropped and the solve starts again cold from a
-perturbed right-hand side.
+limit with the primal loop.
 """
 
 from __future__ import annotations
@@ -111,7 +103,6 @@ class SimplexResult:
     residual_bound: float
     residual_dual: float
     at_upper: tuple[int, ...]
-    warm_start: bool
     dual_iterations: int
 
 
@@ -128,27 +119,12 @@ def solve_simplex(
     max_iterations: int | None = None,
     start: tuple | None = None,
 ) -> SimplexResult:
-    """Solve one LP; ``start`` is a ``(basis, at_upper)`` pair from a result of the same LP.
+    """Solve one LP; ``start`` is a ``(basis, at_upper)`` pair over its structural and slack columns.
 
     ``iterations`` counts every pivot and bound flip, ``dual_iterations`` the dual
-    simplex pivots among them, and ``warm_start`` says whether the result was
-    reached from ``start`` (False when a stalled warm start was solved again cold).
+    simplex pivots among them.
     """
-    args = (c, A, relations, rhs, lower, upper, maximize, exact, max_iterations)
-    engine = _Engine(*args, start, perturb=False)
-    try:
-        return engine.solve()
-    except _Stalled:
-        spent, dual = engine.iterations, engine.dual_iterations
-    # drop the stalled engine before the second one is built, so the two never coexist
-    del engine
-    engine = _Engine(*args, None, perturb=True)
-    engine.iterations, engine.dual_iterations = spent, dual
-    return engine.solve()
-
-
-class _Stalled(Exception):
-    """A float solve's first degenerate run reached the limit; solve again cold, perturbed."""
+    return _Engine(c, A, relations, rhs, lower, upper, maximize, exact, max_iterations, start).solve()
 
 
 def _fraction_or_inf(v):
@@ -164,7 +140,7 @@ def _to_exact(arr) -> np.ndarray:
 
 
 class _Engine:
-    def __init__(self, c, A, relations, rhs, lower, upper, maximize, exact, max_iterations, start, *, perturb):
+    def __init__(self, c, A, relations, rhs, lower, upper, maximize, exact, max_iterations, start):
         A = np.array(A, dtype=float)
         if A.ndim != 2 or A.shape[0] < 1:
             raise SolverError("constraint matrix must be 2-d with at least one row")
@@ -276,17 +252,7 @@ class _Engine:
             vals = np.concatenate([vals, zeros_art])
             status = np.concatenate([status, np.full(nart, _BASIC, dtype=np.int8)])
 
-        # a restart relaxes every row whose slack starts basic, so no basic value starts at a bound
-        slack_rows = basis < ncols0
-        self.restart_on_stall = not (exact or perturb) and bool(slack_rows.any())
-        self.rhs_w = rhs
-        self.rhs_run = rhs
-        if perturb:
-            relax = np.random.default_rng(0).uniform(1e-6, 1e-5, nrows) * (1.0 + np.abs(rhs))
-            relax[~slack_rows] = 0.0
-            self.rhs_run = rhs + relax
-            resid = resid + relax
-
+        self.rhs = rhs
         self.ncols0 = ncols0
         self.nart = nart
         self.T0 = W
@@ -305,14 +271,14 @@ class _Engine:
         self.max_iterations = (
             int(max_iterations) if max_iterations is not None else 200 * (nrows + ncols) + 5000
         )
-        self.warm = start is not None
-        if self.warm and not self._refactor(self.rhs_run):
+        self.started = start is not None
+        if self.started and not self._refactor():
             raise SolverError("start basis is singular")
 
     # ------------------------------------------------------------------
 
     def solve(self) -> SimplexResult:
-        if self.warm:
+        if self.started:
             self._run_dual()
         if self.nart:
             phase1 = np.zeros(self.T0.shape[1], dtype=self.T0.dtype)
@@ -357,10 +323,8 @@ class _Engine:
                 raise SolverError(f"simplex stalled after {self.iterations} iterations")
             if self.iterations and self.iterations % 512 == 0:
                 if not self.exact:
-                    self._refactor(self.rhs_run)
+                    self._refactor()
                 d = self._price(cost)
-            if degen_run >= degen_limit and self.restart_on_stall:
-                raise _Stalled
             bland = self.exact or degen_run >= degen_limit
             elig = movable & (
                 ((self.status == _AT_LOWER) & (d < -self.tol))
@@ -431,7 +395,7 @@ class _Engine:
             if self.iterations > self.max_iterations:
                 raise SolverError(f"simplex stalled after {self.iterations} iterations")
             if self.iterations and self.iterations % 512 == 0:
-                self._refactor(self.rhs_run)
+                self._refactor()
                 d = self._price(cost)
             below = self.lb[self.basis] - self.xB
             above = self.xB - self.ub[self.basis]
@@ -488,7 +452,7 @@ class _Engine:
 
     # ------------------------------------------------------------------
 
-    def _refactor(self, rhs, *, inverse=True):
+    def _refactor(self, *, inverse=True):
         """Rebuild xB and, with ``inverse``, B^-1 from the original columns of the basis.
 
         Returns False, changing nothing, when B is singular.
@@ -502,7 +466,7 @@ class _Engine:
         nonbasic = self.status != _BASIC
         contrib = self.T0[:, nonbasic] @ self.vals[nonbasic] if nonbasic.any() else 0.0
         try:
-            xB = np.linalg.solve(B, rhs - contrib)
+            xB = np.linalg.solve(B, self.rhs - contrib)
             if inverse:
                 self.Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
@@ -514,8 +478,8 @@ class _Engine:
 
     def _finish(self, d) -> SimplexResult:
         if not self.exact:
-            # the true rhs restores a perturbed run; B^-1 is not read again
-            self._refactor(self.rhs_w, inverse=False)
+            # B^-1 is not read again
+            self._refactor(inverse=False)
         x_full = self.vals.copy()
         x_full[self.basis] = self.xB
 
@@ -547,6 +511,5 @@ class _Engine:
             residual_bound=rb,
             residual_dual=rd,
             at_upper=tuple(int(j) for j in np.flatnonzero(self.status == _AT_UPPER)),
-            warm_start=self.warm,
             dual_iterations=self.dual_iterations,
         )

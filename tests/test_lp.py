@@ -252,23 +252,6 @@ class TestResidualCertificate:
             solve_formulation(golden_instance, 6, Formulation.MINLP)
 
 
-class TestSweep:
-    def test_start_holding_an_artificial_is_solved_cold(self, golden_instance, monkeypatch):
-        starts = []
-        real = lp_module.solve_lp
-
-        def recording(problem, *, start=None):
-            starts.append(start)
-            sol = real(problem, start=start)
-            # pretend the basis kept the artificial column of a redundant row
-            stats = dataclasses.replace(sol.stats, basis=sol.stats.basis[:-1] + (10**6,))
-            return dataclasses.replace(sol, stats=stats)
-
-        monkeypatch.setattr(lp_module, "solve_lp", recording)
-        solve_sweep(golden_instance, [2, 4, 6], Formulation.MAXLP)
-        assert starts == [None, None, None]
-
-
 class TestDominance:
     def test_lp_bounds_integral_optimum(self):
         rng = np.random.default_rng(5150)

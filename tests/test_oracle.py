@@ -296,5 +296,6 @@ class TestExcessEstimate:
             estimate_excess_expectation(np.full(5, 0.5), 1.5, 100)
         with pytest.raises(InputError):
             estimate_excess_expectation(np.full(5, 0.5), 0.5, 0)
-        with pytest.raises(InputError):
-            estimate_excess_expectation(np.array([0.5, 1.2]), 0.5, 100)
+        for bad in (1.2, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InputError):
+                estimate_excess_expectation(np.array([0.5, bad]), 0.5, 100)

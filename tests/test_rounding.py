@@ -21,7 +21,8 @@ from balancedcover import (
     solve_end_to_end,
     solve_formulation,
 )
-from balancedcover.lp import FractionalSolution, SolverStats
+from balancedcover.lp import FractionalSolution
+from balancedcover.simplex import SimplexResult
 from balancedcover.rounding import (
     ALGORITHM_FORMULATION,
     ALGORITHM_OBJECTIVE,
@@ -35,8 +36,19 @@ from conftest import random_instance
 
 
 def fake_lp(formulation, z_star, x):
-    stats = SolverStats(iterations=0, basis=(), residual_primal=0.0, residual_bound=0.0, residual_dual=0.0)
-    return FractionalSolution(formulation, z_star, np.asarray(x, dtype=float), stats)
+    x = np.asarray(x, dtype=float)
+    stats = SimplexResult(
+        x=x,
+        objective=z_star,
+        iterations=0,
+        basis=(),
+        residual_primal=0.0,
+        residual_bound=0.0,
+        residual_dual=0.0,
+        at_upper=(),
+        dual_iterations=0,
+    )
+    return FractionalSolution(formulation, z_star, x, stats)
 
 
 def reference_splitmix64(seed, trial):
