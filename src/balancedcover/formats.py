@@ -14,6 +14,7 @@ selection found).
 
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
 
@@ -205,25 +206,8 @@ def result_record(
     }
 
 
-_REQUIRED_RESULT_KEYS = (
-    "schemaVersion",
-    "algorithm",
-    "objective",
-    "m",
-    "n",
-    "s",
-    "seed",
-    "restarts",
-    "lpValue",
-    "bestValue",
-    "bestValueExactNum",
-    "bestValueExactDen",
-    "selectedIndices",
-    "degrees",
-    "epsilonOrLambda",
-    "violationsRepaired",
-    "wallTimeMs",
-)
+# the keys result_record writes, read off a record built from placeholder values
+_REQUIRED_RESULT_KEYS = tuple(result_record(**dict.fromkeys(inspect.signature(result_record).parameters)))
 
 
 def dump_result(record: dict) -> str:

@@ -27,7 +27,7 @@ objectives and all three relaxations untouched while scaling n.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -184,13 +184,7 @@ def gen_x3c(
         truth = solve_x3c(universe_size, triples)
     else:
         truth = None
-    return X3cReduction(
-        instance=red.instance,
-        s=red.s,
-        universe_size=universe_size,
-        triples=red.triples,
-        ground_truth=truth,
-    )
+    return replace(red, ground_truth=truth)
 
 
 # ----------------------------------------------------------------------
@@ -292,14 +286,7 @@ def gen_set_cover(
     if solve_ground_truth:
         best = min_set_cover_size(universe_size, family)
         truth = best is not None and best <= red.target_size
-    return SetCoverReduction(
-        instance=red.instance,
-        s=red.s,
-        universe_size=universe_size,
-        family=red.family,
-        target_size=red.target_size,
-        ground_truth=truth,
-    )
+    return replace(red, ground_truth=truth)
 
 
 # ----------------------------------------------------------------------

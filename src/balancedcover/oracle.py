@@ -141,17 +141,13 @@ def exact_optimum(
     )
     if not include_at_most:
         return result
-    best_score, best_witness = score, witness
-    for k in range(s):
-        [(cand_score, cand_witness)] = _best(instance, k, s, [objective])
-        # across sizes, ties go to the lexicographically smaller tuple
-        # (a proper prefix counts as smaller)
-        if (objective.maximize and cand_score > best_score) or (
-            not objective.maximize and cand_score < best_score
-        ):
-            best_score, best_witness = cand_score, cand_witness
-        elif cand_score == best_score and cand_witness < best_witness:
-            best_witness = cand_witness
+    # across sizes, a better score wins and ties go to the lexicographically smaller tuple
+    # (a proper prefix counts as smaller)
+    sign = -1 if objective.maximize else 1
+    best_score, best_witness = min(
+        [(score, witness)] + [_best(instance, k, s, [objective])[0] for k in range(s)],
+        key=lambda pair: (sign * pair[0], pair[1]),
+    )
     return replace(
         result,
         optimum_num_at_most=best_score,

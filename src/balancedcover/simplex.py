@@ -15,16 +15,24 @@ from scratch as cost - (cost_B B^-1) T0.
 if needed and given an artificial variable, and phase 1 minimizes the
 artificial sum before the real objective runs.
 
-Pivoting is deterministic: Dantzig pricing (most negative reduced cost,
-ties to the lowest column index) with the textbook ratio test including
-bound flips.  Float comparisons use absolute tolerances (1e-9 on reduced
-costs and ratio ties).
+Each nonbasic column j carries a direction sign_j: +1 at its lower
+bound, -1 at its upper bound (0 marks a basic column).  A column can
+improve the objective when sign_j * d_j < 0 for its reduced cost d_j,
+and only along sign_j.  Pivoting is deterministic: Dantzig pricing
+(the largest such |d_j|, ties to the lowest column index) with the
+textbook ratio test including bound flips.  Float comparisons use
+absolute tolerances (1e-9 on reduced costs and ratio ties).
 
-The updates drift in float arithmetic, so every 512 iterations a float
-solve refactorizes: B^-1 and the basic values are rebuilt from the
-original columns of the current basis, and the reduced costs priced
-again.  The final step refactorizes once more and snaps every value
-within 1e-9 of a bound onto it.
+Every basis change, whether a primal pivot, a dual pivot or an
+artificial driven out after phase 1, goes through ``_exchange``: the
+basic values move by the step along the entering column, the leaving
+column goes to the bound it reached, and B^-1 takes the rank-1 update.
+Before each pivot both loops call ``_tick``, which enforces the
+iteration limit and, every 512 iterations, refactorizes a float solve
+(B^-1 and the basic values are rebuilt from the original columns of the
+current basis, shedding the drift of the updates) and prices the
+reduced costs again.  The final step refactorizes once more and snaps
+every value within 1e-9 of a bound onto it.
 
 Degenerate pivots (steps of length 0) can cycle.  A float solve
 switches to Bland's rule once a run of 100 + rows of them occurs, and
@@ -59,11 +67,10 @@ flipping.  Most reduced costs of these LPs are 0, and with the true
 costs such ties made the dual simplex cycle until the iteration limit,
 so the dual phase prices with each nonbasic cost moved away from 0 on
 its dual feasible side by U(1e-7, 1e-6) * (1 + |c_j|), drawn from a
-fixed-seed generator.  The primal loop then
-runs on the true costs: it confirms optimality, or pivots on the few
-reduced costs the perturbation left on the wrong side.  The dual phase
-shares the refactorization every 512 iterations and the iteration
-limit with the primal loop.
+fixed-seed generator, as cost_j + sign_j * delta_j.  Its eligible
+columns are those with sign_j * alpha_j on the restoring side.  The
+primal loop then runs on the true costs: it confirms optimality, or
+pivots on the few reduced costs the perturbation left on the wrong side.
 """
 
 from __future__ import annotations
@@ -79,8 +86,6 @@ from .errors import SolverError
 LE = "<="
 GE = ">="
 EQ = "="
-
-_BASIC, _AT_LOWER, _AT_UPPER = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,7 @@ class _Engine:
 
         # starting point: everything nonbasic at its lower bound, or where the start puts it
         vals = lb.copy()
-        status = np.full(ncols0, _AT_LOWER, dtype=np.int8)
+        sign = np.ones(ncols0, dtype=np.int8)
         art_rows = []
         if start is not None:
             basis = np.array(start[0], dtype=np.intp)
@@ -220,9 +225,9 @@ class _Engine:
                 or not np.isfinite(ub[at_upper]).all()
             ):
                 raise SolverError("start is not a basis over this LP's structural and slack columns")
-            status[at_upper] = _AT_UPPER
+            sign[at_upper] = -1
             vals[at_upper] = ub[at_upper]
-            status[basis] = _BASIC
+            sign[basis] = 0
         resid = rhs - W.dot(vals)
         if start is None:
             basis = np.full(nrows, -1, dtype=np.intp)
@@ -231,7 +236,7 @@ class _Engine:
                 if rels[i] == LE and resid[i] >= 0:
                     j = nstruct + slack_pos[i]
                     basis[i] = j
-                    status[j] = _BASIC
+                    sign[j] = 0
                 else:
                     art_rows.append(i)
         nart = len(art_rows)
@@ -250,7 +255,7 @@ class _Engine:
             ub = np.concatenate([ub, np.full(nart, math.inf, dtype=ub.dtype)])
             cost = np.concatenate([cost, zeros_art])
             vals = np.concatenate([vals, zeros_art])
-            status = np.concatenate([status, np.full(nart, _BASIC, dtype=np.int8)])
+            sign = np.concatenate([sign, np.zeros(nart, dtype=np.int8)])
 
         self.rhs = rhs
         self.ncols0 = ncols0
@@ -262,7 +267,7 @@ class _Engine:
         self.ub = ub
         self.cost = cost
         self.vals = vals
-        self.status = status
+        self.sign = sign
         self.basis = basis
         self.xB = resid.copy()
         self.iterations = 0
@@ -297,19 +302,12 @@ class _Engine:
     def _drive_out_artificials(self):
         for r in np.flatnonzero(self.basis >= self.ncols0).tolist():
             # the largest nonbasic entry of the row, ties to the lowest column
-            mag = np.where(self.status[: self.ncols0] == _BASIC, 0, np.abs(self._row(r)[: self.ncols0]))
+            mag = np.where(self.sign[: self.ncols0] == 0, 0, np.abs(self._row(r)[: self.ncols0]))
             e = int(np.argmax(mag))
             if mag[e] <= self.pivtol:
                 # row is redundant; keep the artificial basic, pinned at 0
                 continue
-            col = self._column(e)
-            leave = self.basis[r]
-            self.status[leave] = _AT_LOWER
-            self.vals[leave] = 0
-            self.status[e] = _BASIC
-            self.basis[r] = e
-            self.xB[r] = self.vals[e]
-            self._pivot(r, col)
+            self._exchange(r, e, self._column(e), 0, True)
 
     # ------------------------------------------------------------------
 
@@ -319,17 +317,9 @@ class _Engine:
         degen_run = 0
         degen_limit = 100 + self.nrows
         while True:
-            if self.iterations > self.max_iterations:
-                raise SolverError(f"simplex stalled after {self.iterations} iterations")
-            if self.iterations and self.iterations % 512 == 0:
-                if not self.exact:
-                    self._refactor()
-                d = self._price(cost)
+            d = self._tick(cost, d)
             bland = self.exact or degen_run >= degen_limit
-            elig = movable & (
-                ((self.status == _AT_LOWER) & (d < -self.tol))
-                | ((self.status == _AT_UPPER) & (d > self.tol))
-            )
+            elig = movable & (self.sign * d < -self.tol)
             if not elig.any():
                 return d
             if bland:
@@ -337,7 +327,7 @@ class _Engine:
             else:
                 score = np.where(elig, np.abs(d), -1)
                 e = int(np.argmax(score))
-            sigma = 1 if self.status[e] == _AT_LOWER else -1
+            sigma = int(self.sign[e])
             col = self._column(e)
             w = sigma * col
             bl = self.lb[self.basis]
@@ -354,12 +344,12 @@ class _Engine:
             tflip = self.ub[e] - self.lb[e]
             if math.isinf(float(rmin)) and math.isinf(float(tflip)):
                 raise SolverError("unbounded objective")
+            self.iterations += 1
             if tflip < rmin:
                 # entering variable swaps bounds without a basis change
                 self.xB = self.xB - (sigma * tflip) * col
-                self.status[e] = _AT_UPPER if sigma > 0 else _AT_LOWER
+                self.sign[e] = -sigma
                 self.vals[e] = self.ub[e] if sigma > 0 else self.lb[e]
-                self.iterations += 1
                 degen_run = 0
                 continue
             cand = np.flatnonzero(ratios <= rmin + self.tol)
@@ -368,35 +358,21 @@ class _Engine:
                 mag = np.abs(col[cand])
                 cand = cand[mag == mag.max()]
             r = int(cand[np.argmin(self.basis[cand])])
-            t = rmin
-            leave = self.basis[r]
-            if t != 0:
-                self.xB = self.xB - (sigma * t) * col
-            self.status[leave] = _AT_LOWER if w[r] > 0 else _AT_UPPER
-            self.vals[leave] = self.lb[leave] if w[r] > 0 else self.ub[leave]
-            self.status[e] = _BASIC
-            self.basis[r] = e
-            self.xB[r] = self.vals[e] + sigma * t
             row = self._row(r)
-            self._pivot(r, col)
+            self._exchange(r, e, col, sigma * rmin, w[r] > 0)
             d = d - d[e] * (row / row[e])
-            self.iterations += 1
-            degen_run = degen_run + 1 if t <= self.degen_tol else 0
+            degen_run = degen_run + 1 if rmin <= self.degen_tol else 0
 
     def _run_dual(self):
         """Dual simplex pivots from a dual feasible basis until it is primal feasible."""
         # most reduced costs are 0 (only the z columns carry a cost), and ties at 0 let the dual
         # simplex cycle: move each nonbasic cost away from 0 on its dual feasible side
         delta = np.random.default_rng(0).uniform(1e-7, 1e-6, self.cost.size) * (1.0 + np.abs(self.cost))
-        cost = self.cost + np.where(self.status == _AT_LOWER, delta, np.where(self.status == _AT_UPPER, -delta, 0.0))
+        cost = self.cost + self.sign * delta
         d = self._price(cost)
         movable = self.ub > self.lb
         while True:
-            if self.iterations > self.max_iterations:
-                raise SolverError(f"simplex stalled after {self.iterations} iterations")
-            if self.iterations and self.iterations % 512 == 0:
-                self._refactor()
-                d = self._price(cost)
+            d = self._tick(cost, d)
             below = self.lb[self.basis] - self.xB
             above = self.xB - self.ub[self.basis]
             infeas = np.maximum(below, above)
@@ -408,29 +384,45 @@ class _Engine:
             rise = below[r] > 0
             alpha = self._row(r)
             row = alpha if rise else -alpha
-            elig = movable & (
-                ((self.status == _AT_LOWER) & (row < -self.pivtol))
-                | ((self.status == _AT_UPPER) & (row > self.pivtol))
-            )
+            elig = movable & (self.sign * row < -self.pivtol)
             if not elig.any():
                 raise SolverError(f"infeasible constraint system (basic row {r} cannot reach its bounds)")
             ratios = np.full(alpha.size, math.inf)
             ratios[elig] = np.abs(d[elig] / row[elig])
             e = int(np.argmin(ratios))
-            leave = self.basis[r]
-            target = self.lb[leave] if rise else self.ub[leave]
-            step = (self.xB[r] - target) / alpha[e]
-            col = self._column(e)
-            self.xB = self.xB - step * col
-            self.status[leave] = _AT_LOWER if rise else _AT_UPPER
-            self.vals[leave] = target
-            self.status[e] = _BASIC
-            self.basis[r] = e
-            self.xB[r] = self.vals[e] + step
-            self._pivot(r, col)
+            target = self.lb[self.basis[r]] if rise else self.ub[self.basis[r]]
+            self._exchange(r, e, self._column(e), (self.xB[r] - target) / alpha[e], rise)
             d = d - d[e] * (alpha / alpha[e])
             self.iterations += 1
             self.dual_iterations += 1
+
+    def _tick(self, cost, d):
+        """Enforce the iteration limit; every 512 iterations refactorize (float) and reprice ``d``."""
+        if self.iterations > self.max_iterations:
+            raise SolverError(f"simplex stalled after {self.iterations} iterations")
+        if self.iterations and self.iterations % 512 == 0:
+            if not self.exact:
+                self._refactor()
+            d = self._price(cost)
+        return d
+
+    def _exchange(self, r: int, e: int, col, step, to_lower: bool):
+        """Column e enters the basis in row r, moving by ``step``; the leaving column goes to a bound.
+
+        ``col`` is B^-1 times column e; the basic values move by -step * col.
+        """
+        leave = self.basis[r]
+        if step != 0:
+            self.xB = self.xB - step * col
+        self.sign[leave] = 1 if to_lower else -1
+        self.vals[leave] = self.lb[leave] if to_lower else self.ub[leave]
+        self.sign[e] = 0
+        self.basis[r] = e
+        self.xB[r] = self.vals[e] + step
+        # rank-1 update of B^-1
+        pivot_row = self.Binv[r] / col[r]
+        self.Binv -= np.outer(col, pivot_row)
+        self.Binv[r] = pivot_row
 
     def _price(self, cost):
         """Reduced costs of every column at the current basis: cost - (cost_B B^-1) T0."""
@@ -443,12 +435,6 @@ class _Engine:
     def _column(self, e: int):
         """B^-1 times column e: how the basic values move as column e moves."""
         return self.Binv.dot(self.T0[:, e])
-
-    def _pivot(self, r: int, col):
-        """Update B^-1 for column ``col`` (B^-1 times the entering column) replacing basic row r."""
-        pivot_row = self.Binv[r] / col[r]
-        self.Binv -= np.outer(col, pivot_row)
-        self.Binv[r] = pivot_row
 
     # ------------------------------------------------------------------
 
@@ -463,7 +449,7 @@ class _Engine:
         refactorization was 3.0e-15 for the solve and 1.2e-14 for the inverse.
         """
         B = self.T0[:, self.basis]
-        nonbasic = self.status != _BASIC
+        nonbasic = self.sign != 0
         contrib = self.T0[:, nonbasic] @ self.vals[nonbasic] if nonbasic.any() else 0.0
         try:
             xB = np.linalg.solve(B, self.rhs - contrib)
@@ -498,7 +484,7 @@ class _Engine:
         row = np.where(rels == GE, -row, np.where(rels == EQ, abs(row), row))
         rp = float(max(0, row.max()))
         rb = float(max(0, (lower0 - x).max(), (x - upper0).max()))
-        wrong = np.where(self.status == _AT_LOWER, -d, np.where(self.status == _AT_UPPER, d, abs(d)))
+        wrong = np.where(self.sign == 0, abs(d), -self.sign * d)
         wrong = wrong[self.ub > self.lb]
         rd = float(max(0, wrong.max())) if wrong.size else 0.0
 
@@ -510,6 +496,6 @@ class _Engine:
             residual_primal=rp,
             residual_bound=rb,
             residual_dual=rd,
-            at_upper=tuple(int(j) for j in np.flatnonzero(self.status == _AT_UPPER)),
+            at_upper=tuple(int(j) for j in np.flatnonzero(self.sign < 0)),
             dual_iterations=self.dual_iterations,
         )

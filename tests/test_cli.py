@@ -72,7 +72,7 @@ class TestBuildMatrix:
         loaded = read_matrix(out)
         assert loaded.clone_names[0] == "c1"
 
-    def test_automaton_matcher_agrees(self, tmp_path, golden_files):
+    def test_matrix_agrees_with_pairwise_matches(self, tmp_path, golden_files):
         clones, probes = golden_files
         out = tmp_path / "out.matrix"
         assert main(["build-matrix", str(clones), str(probes), str(out)]) == 0

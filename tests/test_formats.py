@@ -186,6 +186,13 @@ class TestResultRecords:
         with pytest.raises(InputError):
             load_result(json.dumps(record))
 
+    @pytest.mark.parametrize("key", list(sample_record()))
+    def test_load_rejects_missing_key(self, key):
+        record = dict(sample_record())
+        del record[key]
+        with pytest.raises(InputError, match=f"missing keys: {key}$"):
+            load_result(json.dumps(record))
+
     def test_load_rejects_non_object(self):
         with pytest.raises(InputError):
             load_result("[1, 2]")

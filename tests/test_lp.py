@@ -157,6 +157,56 @@ class TestGoldenValues:
         assert (sol.z_star, sol.stats.iterations, sol.stats.basis) == self.EXACT_PIVOT_PATH[form, s]
         assert_all_fractions(sol)
 
+    # (formulation, s) -> (z*, iterations, dual_iterations, basis, at_upper) of the crash-started
+    # float solve; z* is compared to 1e-9, the pivot path exactly
+    FLOAT_PIVOT_PATH = {
+        (Formulation.MINLP, 3): (1.4, 8, 0, (9, 8, 11, 4, 2, 14, 1, 16, 17, 18, 7, 20, 21, 22, 6), (3, 5)),
+        (Formulation.MINLP, 6): (2.0, 3, 0, (9, 8, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 0), (1, 2, 3, 4, 5, 6)),
+        (Formulation.MAXLP, 3): (0.1, 7, 0, (8, 10, 4, 12, 13, 6, 15, 1, 17, 18, 19, 7, 21, 22, 2), (3, 5)),
+        (Formulation.MAXLP, 6): (1.0, 3, 0, (8, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 1), (2, 3, 4, 5, 6)),
+        (Formulation.AVGLP, 3): (41 / 28, 16, 0, (2, 8, 9, 4, 10, 1, 11, 7, 12, 24, 13, 15, 14, 17, 6), (3, 5)),
+        (Formulation.AVGLP, 6): (20 / 7, 11, 0, (15, 8, 9, 18, 10, 7, 11, 1, 12, 24, 13, 26, 14, 28, 0), (2, 3, 4, 5, 6)),
+    }
+
+    @pytest.mark.parametrize("form, s", list(FLOAT_PIVOT_PATH), ids=lambda v: getattr(v, "value", v))
+    def test_float_pivot_path_is_fixed(self, golden_instance, form, s):
+        sol = solve_formulation(golden_instance, s, form)
+        z, *path = self.FLOAT_PIVOT_PATH[form, s]
+        assert sol.z_star == pytest.approx(z, abs=1e-9)
+        assert [sol.stats.iterations, sol.stats.dual_iterations, sol.stats.basis, sol.stats.at_upper] == path
+
+    # formulation -> the same fields for each s of the warm-started sweep over s = 2..6
+    SWEEP_PIVOT_PATH = {
+        Formulation.MINLP: [
+            (1.0, 6, 0, (9, 8, 11, 0, 5, 14, 1, 16, 17, 18, 19, 20, 21, 22, 3), ()),
+            (1.4, 3, 3, (9, 8, 11, 0, 7, 14, 1, 16, 17, 18, 4, 20, 21, 22, 6), (3, 5)),
+            (1.8, 0, 0, (9, 8, 11, 0, 7, 14, 1, 16, 17, 18, 4, 20, 21, 22, 6), (3, 5)),
+            (2.0, 1, 1, (9, 8, 11, 0, 7, 14, 1, 16, 17, 18, 4, 20, 21, 22, 13), (3, 5, 6)),
+            (2.0, 2, 2, (9, 8, 11, 19, 23, 14, 1, 16, 17, 18, 4, 20, 21, 22, 13), (3, 5, 6)),
+        ],
+        Formulation.MAXLP: [
+            (0.0, 4, 0, (8, 10, 0, 12, 13, 3, 15, 5, 17, 18, 19, 20, 21, 22, 4), ()),
+            (0.1, 3, 3, (8, 10, 0, 12, 13, 6, 15, 7, 17, 18, 19, 1, 21, 22, 4), (3, 5)),
+            (0.2, 0, 0, (8, 10, 0, 12, 13, 6, 15, 7, 17, 18, 19, 1, 21, 22, 4), (3, 5)),
+            (0.5, 1, 1, (8, 10, 0, 12, 13, 11, 15, 7, 17, 18, 19, 1, 21, 22, 4), (3, 5, 6)),
+            (1.0, 4, 4, (8, 10, 2, 12, 13, 11, 15, 14, 17, 18, 19, 16, 21, 20, 4), (0, 1, 3, 5, 6)),
+        ],
+        Formulation.AVGLP: [
+            (1.0, 12, 0, (0, 8, 4, 9, 10, 1, 11, 5, 12, 24, 13, 26, 14, 28, 3), ()),
+            (41 / 28, 3, 3, (0, 8, 4, 9, 10, 1, 11, 17, 12, 24, 13, 26, 14, 15, 6), (3, 5)),
+            (27 / 14, 0, 0, (0, 8, 4, 9, 10, 1, 11, 17, 12, 24, 13, 26, 14, 15, 6), (3, 5)),
+            (67 / 28, 0, 0, (0, 8, 4, 9, 10, 1, 11, 17, 12, 24, 13, 26, 14, 15, 6), (3, 5)),
+            (20 / 7, 0, 0, (0, 8, 4, 9, 10, 1, 11, 17, 12, 24, 13, 26, 14, 15, 6), (3, 5)),
+        ],
+    }
+
+    @pytest.mark.parametrize("form", list(SWEEP_PIVOT_PATH), ids=lambda v: v.value)
+    def test_sweep_pivot_path_is_fixed(self, golden_instance, form):
+        sweep = solve_sweep(golden_instance, [2, 3, 4, 5, 6], form)
+        for sol, (z, *path) in zip(sweep, self.SWEEP_PIVOT_PATH[form], strict=True):
+            assert sol.z_star == pytest.approx(z, abs=1e-9)
+            assert [sol.stats.iterations, sol.stats.dual_iterations, sol.stats.basis, sol.stats.at_upper] == path
+
     def test_float_agrees_with_exact(self, golden_instance):
         for form, expect in (
             (Formulation.MINLP, golden.MINLP_OPT),
