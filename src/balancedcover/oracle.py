@@ -1,12 +1,16 @@
 """Exact references for small instances, plus a Monte-Carlo tail estimator.
 
-Exhaustive enumeration over clone subsets runs through one chunked
-scan: a chunk of index combinations becomes a (chunk, k) array, fancy
-indexing pulls the clone rows, and one sum gives all degree vectors at
-once.  The optimum, all-objectives and decision oracles all consume
-that scan; ``exact_all_objectives`` scores every objective on each
-chunk's degrees, so it enumerates once.  Enumeration is lexicographic
-and improvements must be strict, so the reported witness is the
+Exhaustive enumeration over clone subsets runs through one scan by head
+and tail.  A size-k subset is a head of its first k - t clones and a
+tail of its last t, with t <= k the largest size whose table of all
+t-subsets, with their index rows and degree sums, fits in
+``_MAX_TAIL_ROWS`` rows.  The tails that may follow a head are a suffix
+of that table, so each head yields one block of degree vectors from a
+single array addition; no subset is ever a Python tuple.  The optimum,
+all-objectives and decision oracles all consume that scan;
+``exact_all_objectives`` scores every objective on each block's
+degrees, so it enumerates once.  Enumeration is lexicographic and
+improvements must be strict, so the reported witness is the
 lexicographically smallest optimal subset.
 
 Everything here refuses to run past a configurable subset budget
@@ -29,7 +33,7 @@ from .errors import BudgetExceededError, InputError
 
 DEFAULT_BUDGET = 10_000_000
 
-_CHUNK = 32768
+_MAX_TAIL_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -76,32 +80,53 @@ def _check_enumeration(m: int, s: int, budget: int) -> int:
     return count
 
 
-def _scan(instance: Instance, k: int):
-    """Yield (idx, deg) per chunk of the size-k subsets, in lexicographic order.
+def _tail_table(a: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index rows and degree sums of all t-subsets of ``range(m)``, in lexicographic order.
 
-    ``idx`` is a (chunk, k) array of clone indices and ``deg`` the
-    matching (chunk, n) degree vectors; k = 0 yields the empty subset.
+    Level j holds the j-subsets of ``range(t - j, m)``: each first clone
+    i joined to every (j - 1)-subset of ``range(i + 1, m)``, which are
+    the last C(m - 1 - i, j - 1) rows of level j - 1.  No level is
+    longer than the last, C(m, t) rows.
+    """
+    m, n = a.shape
+    idx = np.empty((1, 0), dtype=np.intp)
+    deg = np.zeros((1, n), dtype=np.int64)
+    for j in range(1, t + 1):
+        first = range(t - j, m - j + 1)
+        counts = [math.comb(m - 1 - i, j - 1) for i in first]
+        rest = np.concatenate([idx[-c:] for c in counts])
+        idx = np.column_stack((np.repeat(first, counts), rest))
+        deg = np.concatenate([a[i] + deg[-c:] for i, c in zip(first, counts)])
+    return idx, deg
+
+
+def _scan(instance: Instance, k: int):
+    """Yield (head, tails, deg) per head block of the size-k subsets, in lexicographic order.
+
+    ``head`` is a tuple of the first k - t clones, ``tails`` the (rows, t)
+    index array of every t-subset after it and ``deg`` the matching
+    (rows, n) degree vectors; k = 0 yields the empty subset.
     """
     a = instance.adjacency.astype(np.int64)
-    it = itertools.combinations(range(instance.num_clones), k)
-    while True:
-        chunk = list(itertools.islice(it, _CHUNK))
-        if not chunk:
-            return
-        idx = np.array(chunk, dtype=np.intp)
-        yield idx, a[idx, :].sum(axis=1)
+    m = instance.num_clones
+    t = max(j for j in range(k + 1) if math.comb(m, j) <= _MAX_TAIL_ROWS)
+    tails, tail_deg = _tail_table(a, t)
+    for head in itertools.combinations(range(m - t), k - t):
+        # the t-subsets of range(p, m) are the last C(m - p, t) rows of the table
+        off = len(tails) - math.comb(m - 1 - head[-1], t) if head else 0
+        yield head, tails[off:], a[list(head)].sum(axis=0) + tail_deg[off:]
 
 
 def _best(instance: Instance, k: int, s: int, kinds) -> list[tuple[int, tuple[int, ...]]]:
     """Best (score, witness) per kind over subsets of size exactly k; lex-first wins."""
     best = [(None, None)] * len(kinds)
-    for idx, deg in _scan(instance, k):
+    for head, tails, deg in _scan(instance, k):
         for i, kind in enumerate(kinds):
             scores = objective_scores(deg, s, kind)
             pos = int(np.argmax(scores) if kind.maximize else np.argmin(scores))
             cand, score = int(scores[pos]), best[i][0]
             if score is None or (cand > score if kind.maximize else cand < score):
-                best[i] = (cand, tuple(int(j) for j in idx[pos]))
+                best[i] = (cand, head + tuple(tails[pos].tolist()))
     return best
 
 
@@ -161,7 +186,7 @@ def exact_all_objectives(
 ) -> dict[ObjectiveKind, ExactResult]:
     """Exact optima at size exactly s for all four objectives from one enumeration pass.
 
-    Each chunk's degree vectors are computed once and scored for every
+    Each head block's degree vectors are computed once and scored for every
     objective; each objective keeps its own lexicographically smallest
     optimal witness, as ``exact_optimum(..., include_at_most=False)`` would.
     """
@@ -190,7 +215,7 @@ def perfect_balance_exists(instance: Instance, s: int, *, budget: int = DEFAULT_
     if s % 2 != 0:
         raise InputError(f"perfect balance needs an even s, got {s}")
     _check_enumeration(instance.num_clones, s, budget)
-    return any(bool((deg == s // 2).all(axis=1).any()) for _, deg in _scan(instance, s))
+    return any(bool((deg == s // 2).all(axis=1).any()) for _, _, deg in _scan(instance, s))
 
 
 def size_s_cover_exists(instance: Instance, s: int, *, budget: int = DEFAULT_BUDGET) -> bool:
@@ -198,7 +223,7 @@ def size_s_cover_exists(instance: Instance, s: int, *, budget: int = DEFAULT_BUD
     s = _check_budget(instance, s)
     _check_enumeration(instance.num_clones, s, budget)
     return any(
-        bool(((deg >= 1) & (deg <= s - 1)).all(axis=1).any()) for _, deg in _scan(instance, s)
+        bool(((deg >= 1) & (deg <= s - 1)).all(axis=1).any()) for _, _, deg in _scan(instance, s)
     )
 
 
@@ -240,7 +265,7 @@ def estimate_excess_expectation(
     total = 0.0
     total_sq = 0.0
     done = 0
-    max_block = max(1, int(2e7) // p.size)
+    max_block = max(1, (1 << 20) // p.size)
     while done < trials:
         block = min(max_block, trials - done)
         y = (rng.random((block, p.size)) < p).sum(axis=1)

@@ -18,6 +18,7 @@ from balancedcover import (
     exact_all_objectives,
     exact_optimum,
     gen_random,
+    objective_scores,
     perfect_balance_exists,
     size_s_cover_exists,
     x3c_instance,
@@ -183,12 +184,16 @@ class TestExactOptimum:
             assert err.value.count == math.comb(25, 12)
 
     def test_one_pass_matches_per_objective_scans(self):
-        # C(18, 9) = 48620 subsets fill two chunks.  On the first matrix
-        # every optimum sits in chunk one and chunk two only ties it; on
-        # the second the cavg/davg optima sit in chunk two while the
-        # cmin/dmax ones stay in chunk one.
-        assert oracle._CHUNK < math.comb(18, 9) <= 2 * oracle._CHUNK
+        # C(18, 9) = 48620 subsets come in more than one head block.  On
+        # the second matrix the cavg/davg optima lie past the first block,
+        # so the strict-improvement rule across blocks picks them.
         subsets = np.array(list(combinations(range(18), 9)))
+        blocks = [len(tails) for _, tails, _ in oracle._scan(gen_random(18, 10, 0.2, 7), 9)]
+        late = exact_all_objectives(gen_random(18, 10, 0.2, 7), 9)
+        assert len(blocks) > 1 and all(
+            subsets.tolist().index(list(late[kind].witness)) >= blocks[0]
+            for kind in (ObjectiveKind.CAVG, ObjectiveKind.DAVG)
+        )
         for inst in (gen_random(18, 10, 0.5, 1), gen_random(18, 10, 0.2, 7)):
             results = exact_all_objectives(inst, 9)
             # unchunked reference: argmax/argmin return the first, i.e.
@@ -251,6 +256,60 @@ class TestDecisionOracles:
                     results[ObjectiveKind.DMAX].optimum == 0
                 )
             assert size_s_cover_exists(inst, s) == (results[ObjectiveKind.CMIN].optimum >= 1)
+
+
+class TestHeadTailScan:
+    def test_matches_plain_enumeration_at_small_table_caps(self, monkeypatch):
+        # Table caps of 1, 2 and 5 rows make t = 0 < k, 0 < t < k and
+        # t = k all occur, with many heads per scan; every optimum,
+        # witness and decision must match a plain combinations scan.
+        scan, cases, most_heads = oracle._scan, set(), 0
+
+        def observed_scan(instance, k):
+            nonlocal most_heads
+            heads = 0
+            for head, tails, deg in scan(instance, k):
+                t = tails.shape[1]
+                cases.add("t = k" if t == k else "t = 0 < k" if t == 0 else "0 < t < k")
+                heads += 1
+                yield head, tails, deg
+            most_heads = max(most_heads, heads)
+
+        def plain_best(pairs, s, kind):
+            # lexicographic order, ties to the smaller tuple (a prefix is smaller)
+            sign = -1 if kind.maximize else 1
+            score, subset = min((sign * int(objective_scores(d, s, kind)), c) for d, c in pairs)
+            return sign * score, subset
+
+        monkeypatch.setattr(oracle, "_scan", observed_scan)
+        rng = np.random.default_rng(2718)
+        for cap in (1, 2, 5):
+            monkeypatch.setattr(oracle, "_MAX_TAIL_ROWS", cap)
+            for m in range(1, 13):
+                n = int(rng.integers(1, 7))
+                a = (rng.random((m, n)) < rng.uniform(0.1, 0.9)).astype(np.int8)
+                inst = Instance(a)
+                for s in sorted({1, (m + 1) // 2, m}):
+                    by_size = [
+                        [(a[list(c)].sum(axis=0, dtype=np.int64), c) for c in combinations(range(m), k)]
+                        for k in range(s + 1)
+                    ]
+                    at_most = [pair for pairs in by_size for pair in pairs]
+                    results = exact_all_objectives(inst, s)
+                    for kind in ObjectiveKind:
+                        expected = plain_best(by_size[s], s, kind)
+                        res = exact_optimum(inst, s, kind, include_at_most=True)
+                        assert (res.optimum_num, res.witness) == expected
+                        assert (res.optimum_num_at_most, res.witness_at_most) == plain_best(at_most, s, kind)
+                        assert (results[kind].optimum_num, results[kind].witness) == expected
+                    degs = [d for d, _ in by_size[s]]
+                    if s % 2 == 0:
+                        balanced = any((d == s // 2).all() for d in degs)
+                        assert perfect_balance_exists(inst, s) == balanced
+                    covered = any(((d >= 1) & (d <= s - 1)).all() for d in degs)
+                    assert size_s_cover_exists(inst, s) == covered
+        assert cases == {"t = 0 < k", "0 < t < k", "t = k"}
+        assert most_heads >= 100
 
 
 class TestExcessEstimate:
