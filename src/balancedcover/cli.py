@@ -42,7 +42,7 @@ from .generators import (
     replicate_probes,
 )
 from .ingest import AmbiguityPolicy, build_instance, parse_sequences
-from .lp import solve_formulation, solve_sweep
+from .lp import Formulation, maxlp_from_minlp, solve_formulation, solve_sweep
 from .oracle import DEFAULT_BUDGET, exact_optimum
 from .rounding import (
     ALGORITHM_FORMULATION,
@@ -331,11 +331,15 @@ def cmd_bench(args) -> int:
             matrix_seed = _mix_seed(seed, matrix_counter)
             inst = gen_random(m, n, dens, matrix_seed)
             matrix_id = f"m{m}n{n}d{dens}i{matrix_counter}"
-            # one warm-started sweep over s per formulation the algorithms need
-            sweeps = {
-                f: solve_sweep(inst, s_values, f)
-                for f in dict.fromkeys(ALGORITHM_FORMULATION[alg] for alg in algorithms)
-            }
+            # one warm-started sweep over s per LP the algorithms need; MaxLP is read off
+            # the MinLP sweep, so rcm and rdm share it
+            wanted = dict.fromkeys(ALGORITHM_FORMULATION[alg] for alg in algorithms)
+            solved = dict.fromkeys(Formulation.MINLP if f is Formulation.MAXLP else f for f in wanted)
+            sweeps = {f: solve_sweep(inst, s_values, f) for f in solved}
+            if Formulation.MAXLP in wanted:
+                sweeps[Formulation.MAXLP] = [
+                    maxlp_from_minlp(sol, s) for s, sol in zip(s_values, sweeps[Formulation.MINLP])
+                ]
             for k, s in enumerate(s_values):
                 for alg_index, alg in enumerate(algorithms):
                     lp_sol = sweeps[ALGORITHM_FORMULATION[alg]][k]

@@ -19,7 +19,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """The LP solver failed: infeasible system, unbounded objective, a
-    pivoting stall past the iteration limit, or an optimum whose residual
-    certificate fails (x* violates a row or a bound by more than
-    1e-7 * max(1, max |rhs|))."""
+    """The LP solver failed: a slack start that violates a row, a singular
+    or infeasible warm start, an unbounded objective, a pivoting stall past
+    the iteration limit, or an optimum whose residual certificate fails (x*
+    violates a row or a bound by more than 1e-7 * max(1, max |rhs|))."""

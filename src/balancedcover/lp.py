@@ -12,6 +12,11 @@ Three formulations over selection variables x_i in [0, 1]:
 AVGLP is stored with raw objective sum_j z_j and a rational scale 1/n
 applied when reporting, so the constraint rows hold only integers and
 halves and the exact solver mode stays exact.
+
+MAXLP is built (for ``to_lp_text`` and as a reference for other solvers)
+but never solved: ``solve_formulation`` and ``solve_sweep`` read it off
+MinLP at the same s (``maxlp_from_minlp``).  So every LP the simplex
+solves has only ``<=`` rows and starts from the slack basis.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .core import Instance, _check_budget
 from .errors import InputError, SolverError
-from .simplex import EQ, GE, LE, SimplexResult, solve_simplex
+from .simplex import TOLERANCE, SimplexResult, solve_simplex
 
 
 class Formulation(Enum):
@@ -114,13 +119,13 @@ def build_lp(instance: Instance, s: int, formulation: Formulation) -> LpProblem:
         A[1 : 2 * n : 2, :m] = a.T
         A[2 * probes, zcol] = -1.0
         rhs[: 2 * n] = s / 2.0
-        relations = (LE, GE) * n + (EQ,)
+        relations = ("<=", ">=") * n + ("=",)
     else:
         # z_j <= deg_j and z_j <= sum_i x_i - deg_j
         A[0 : 2 * n : 2, :m] = -a.T
         A[1 : 2 * n : 2, :m] = a.T - 1.0
         A[2 * probes, zcol] = 1.0
-        relations = (LE,) * (2 * n + 1)
+        relations = ("<=",) * (2 * n + 1)
     A[2 * probes + 1, zcol] = 1.0
     A[2 * n, :m] = 1.0
     rhs[2 * n] = float(s)
@@ -146,64 +151,56 @@ def build_lp(instance: Instance, s: int, formulation: Formulation) -> LpProblem:
     )
 
 
-def _crash_start(problem: LpProblem) -> tuple[np.ndarray, list[int]]:
-    """A primal feasible basis of a ``build_lp`` problem, as a simplex ``start``.
+def _crash_start(problem: LpProblem) -> list[int]:
+    """The columns a solve of a ``build_lp`` MinLP or AvgLP starts at their upper bound 1.
 
-    The s evenly spaced clones (i*m)//s sit at their upper bound 1 and every
-    z at 0.  Every MinLP and AvgLP row then holds with its slack basic, at
-    deg_j, s - deg_j or 0; at x = 0 every z_j <= sum_i x_i - deg_j row
-    would be tight, a degenerate start.  MaxLP's budget row is an equality
-    without a slack, where the last chosen clone is basic, and z is basic
-    at max_j |deg_j - s/2| in place of the slack of the tightest probe row.
+    They are the s evenly spaced clones (i*m)//s.  With them at 1, every z
+    at 0 and every slack basic, each row holds with its slack at deg_j,
+    s - deg_j or 0, so the slack basis is primal feasible; at x = 0 every
+    z_j <= sum_i x_i - deg_j row would be tight, a degenerate start.
     """
     m = problem.num_selection_vars
     s = int(problem.rhs[-1])
-    chosen = [i * m // s for i in range(s)]
-    # every row but MaxLP's budget row is an inequality, so row i's slack is column num_vars + i
-    basis = problem.num_vars + np.arange(problem.num_rows)
-    if problem.formulation is not Formulation.MAXLP:
-        return basis, chosen
-    deviation = problem.A[0:-1:2, chosen].sum(axis=1) - s / 2.0
-    j = int(np.argmax(np.abs(deviation)))
-    # deg_j - z <= s/2 is row 2j, deg_j + z >= s/2 is row 2j + 1
-    basis[2 * j + int(deviation[j] < 0)] = m
-    basis[-1] = chosen[-1]
-    return basis, chosen[:-1]
+    return [i * m // s for i in range(s)]
 
 
 def solve_lp(problem: LpProblem, *, exact: bool = False, start: SimplexResult | None = None) -> FractionalSolution:
-    """Solve a built LP and report the scaled optimum and x* slice.
+    """Solve a built MinLP or AvgLP and report the scaled optimum and x* slice.
 
     Repeated calls on an equal problem return bit-identical results:
     the solver's pivot rules are deterministic and depend only on the
     problem data (and ``start``).
 
-    A float solve starts from ``start``, the stats of a float solve of the
-    same LP with another right-hand side: the simplex runs dual pivots from
-    that solve's optimal basis, then primal ones.  Without a start it starts
-    from a crash basis (``_crash_start``), which is primal feasible for a
-    problem made by ``build_lp``, so it runs primal pivots only.  The
-    optimum is the same either way; x* may be another optimal vertex.  An
-    exact solve takes no start and runs the two-phase simplex from x = 0.
+    A solve starts from the slack basis with the ``_crash_start`` clones at
+    1, which is primal feasible, so it runs primal pivots only; exact mode
+    takes the same start.  A float solve may instead start from ``start``,
+    the stats of a float solve of the same LP with another right-hand side:
+    the simplex runs dual pivots from that solve's optimal basis, then
+    primal ones.  The optimum is the same either way; x* may be another
+    optimal vertex.  A problem with a row other than ``<=`` (a built MaxLP)
+    is refused; ``solve_formulation`` and ``solve_sweep`` read MaxLP off
+    MinLP.
 
     The returned x* is certified: a constraint or bound violated by more
     than 1e-7 * max(1, max |rhs|) raises SolverError naming the LP and the
     residual, so a drifted solve never reports a wrong optimum.
     """
+    if set(problem.relations) != {"<="}:
+        raise SolverError(f"{problem.label}: solve_lp solves <= rows only; read MaxLP off MinLP")
     if start is not None:
-        basis = (start.basis, start.at_upper)
+        basis, at_upper = start.basis, start.at_upper
     else:
-        basis = None if exact else _crash_start(problem)
+        basis, at_upper = None, _crash_start(problem)
     res = solve_simplex(
         problem.c,
         problem.A,
-        problem.relations,
         problem.rhs,
         problem.lower,
         problem.upper,
         maximize=problem.maximize,
         exact=exact,
-        start=basis,
+        at_upper=at_upper,
+        basis=basis,
     )
     limit = 1e-7 * max(1.0, float(np.abs(problem.rhs).max()))
     for what, value in (("primal", res.residual_primal), ("bound", res.residual_bound)):
@@ -217,6 +214,38 @@ def solve_lp(problem: LpProblem, *, exact: bool = False, start: SimplexResult | 
     return FractionalSolution(formulation=problem.formulation, z_star=z, x=x, stats=res)
 
 
+def maxlp_from_minlp(minlp: FractionalSolution, s: int) -> FractionalSolution:
+    """MaxLP's optimum at budget s, read off an optimal MinLP solution at the same s.
+
+    Both MinLP margin terms, deg_j(x) and sum(x) - deg_j(x), are
+    non-decreasing in every x_i, so raising x* keeps it optimal for MinLP.
+    At sum(x) = s, min(deg_j, s - deg_j) = s/2 - |deg_j - s/2|, and every
+    MaxLP point has sum(x) = s.  Hence z*_MaxLP = s/2 - z*_MinLP, and x*
+    raised to sum(x) = s attains it: the LP form of cmin + dmax = s/2.
+
+    x* is raised clone by clone, lowest index first, each up to 1, only when
+    s - sum(x*) exceeds the solver tolerance (0 in exact mode).  A float z*
+    at or below that tolerance reads 0.0: s/2 - z*_MinLP cancels there and
+    can fall a few ulps below 0.  ``stats`` is the MinLP solve's.
+    """
+    exact = isinstance(minlp.z_star, Fraction)
+    tol = 0 if exact else TOLERANCE
+    one = Fraction(1) if exact else 1.0
+    x = minlp.x.copy()
+    short = s - x.sum()
+    for i in range(x.size):
+        if short <= tol:
+            break
+        raised = min(x[i] + short, one)
+        short -= raised - x[i]
+        x[i] = raised
+    x.setflags(write=False)
+    z = (Fraction(s, 2) if exact else s / 2.0) - minlp.z_star
+    if not exact and z <= TOLERANCE:
+        z = 0.0
+    return FractionalSolution(formulation=Formulation.MAXLP, z_star=z, x=x, stats=minlp.stats)
+
+
 def solve_sweep(instance: Instance, s_values, formulation: Formulation) -> list[FractionalSolution]:
     """Solve one relaxation at every s in ``s_values``, in order, in float mode.
 
@@ -225,8 +254,12 @@ def solve_sweep(instance: Instance, s_values, formulation: Formulation) -> list[
     optimal basis (``solve_lp``'s ``start``).  Each z* equals a standalone
     ``solve_formulation`` up to float rounding and passes the same residual
     certificate; x* may be another optimal vertex, which depends on the s
-    values solved before it.
+    values solved before it.  A MaxLP sweep is read off the MinLP sweep.
     """
+    if formulation is Formulation.MAXLP:
+        s_values = list(s_values)
+        minlp = solve_sweep(instance, s_values, Formulation.MINLP)
+        return [maxlp_from_minlp(sol, s) for s, sol in zip(s_values, minlp)]
     solutions: list[FractionalSolution] = []
     for s in s_values:
         start = solutions[-1].stats if solutions else None
@@ -241,6 +274,9 @@ def solve_formulation(
     *,
     exact: bool = False,
 ) -> FractionalSolution:
+    """Solve one relaxation at budget s; MaxLP is read off MinLP (``maxlp_from_minlp``)."""
+    if formulation is Formulation.MAXLP:
+        return maxlp_from_minlp(solve_formulation(instance, s, Formulation.MINLP, exact=exact), s)
     return solve_lp(build_lp(instance, s, formulation), exact=exact)
 
 

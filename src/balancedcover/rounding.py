@@ -7,8 +7,9 @@ Five variants, each tied to one relaxation and one objective:
 * rcm2  -- rcm with probabilities shrunk to (1-eps) x* where
            eps = min{2 sqrt(ln(4n+2)/z*), 1}, trading expected size for
            a concentration guarantee.
-* rdm   -- round MaxLP's x*, then repair to exactly s clones by
-           dropping the excess or filling the shortfall; targets dmax.
+* rdm   -- round MaxLP's x* (read off MinLP: its x* raised to sum s),
+           then repair to exactly s clones by dropping the excess or
+           filling the shortfall; targets dmax.
 * rca   -- rcm applied to AvgLP; targets cavg.
 * rca2  -- AvgLP rounding with probabilities x*/(1+lambda),
            lambda = 1/sqrt(z*); targets cavg with an additive

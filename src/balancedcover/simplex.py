@@ -1,6 +1,6 @@
-"""Dense bounded simplex: two-phase primal, plus a dual phase for warm starts.
+"""Dense bounded simplex for `<=` rows, from the slack basis or a warm basis.
 
-Solves   min/max  c.x   s.t.  A x {<=,>=,=} rhs,  lower <= x <= upper
+Solves   min/max  c.x   s.t.  A x <= rhs,  lower <= x <= upper
 
 as a revised simplex in dense form: the engine keeps the original
 columns T0 and the explicit inverse B^-1 of the current basis, one
@@ -8,12 +8,8 @@ square matrix of side the number of rows.  A pivot reads the entering
 column as B^-1 T0[:, e] and the pivot row as B^-1[r] T0 (one
 matrix-vector product each) and applies its rank-1 update to B^-1
 alone; the reduced costs are updated from the pivot row, and priced
-from scratch as cost - (cost_B B^-1) T0.
-`>=` rows are negated into `<=` form; each `<=` row gets a slack in
-[0, inf).  Rows that are infeasible at the starting point x = lower
-(equality rows, or `<=` rows with negative residual) are sign-flipped
-if needed and given an artificial variable, and phase 1 minimizes the
-artificial sum before the real objective runs.
+from scratch as cost - (cost_B B^-1) T0.  Row i takes a slack in
+[0, inf), column (number of structural columns) + i.
 
 Each nonbasic column j carries a direction sign_j: +1 at its lower
 bound, -1 at its upper bound (0 marks a basic column).  A column can
@@ -21,18 +17,17 @@ improve the objective when sign_j * d_j < 0 for its reduced cost d_j,
 and only along sign_j.  Pivoting is deterministic: Dantzig pricing
 (the largest such |d_j|, ties to the lowest column index) with the
 textbook ratio test including bound flips.  Float comparisons use
-absolute tolerances (1e-9 on reduced costs and ratio ties).
+absolute tolerances (``TOLERANCE`` = 1e-9 on reduced costs and ratio ties).
 
-Every basis change, whether a primal pivot, a dual pivot or an
-artificial driven out after phase 1, goes through ``_exchange``: the
-basic values move by the step along the entering column, the leaving
-column goes to the bound it reached, and B^-1 takes the rank-1 update.
-Before each pivot both loops call ``_tick``, which enforces the
-iteration limit and, every 512 iterations, refactorizes a float solve
-(B^-1 and the basic values are rebuilt from the original columns of the
-current basis, shedding the drift of the updates) and prices the
-reduced costs again.  The final step refactorizes once more and snaps
-every value within 1e-9 of a bound onto it.
+Every basis change, whether a primal or a dual pivot, goes through
+``_exchange``: the basic values move by the step along the entering
+column, the leaving column goes to the bound it reached, and B^-1 takes
+the rank-1 update.  Before each pivot both loops call ``_tick``, which
+enforces the iteration limit and, every 512 iterations, refactorizes a
+float solve (B^-1 and the basic values are rebuilt from the original
+columns of the current basis, shedding the drift of the updates) and
+prices the reduced costs again.  The final step refactorizes once more
+and snaps every value within 1e-9 of a bound onto it.
 
 Degenerate pivots (steps of length 0) can cycle.  A float solve
 switches to Bland's rule once a run of 100 + rows of them occurs, and
@@ -45,32 +40,34 @@ path, differs in the Fraction inputs and zero tolerances, in running
 Bland's rule throughout, and in having none of the float repairs: no
 refactorization and no snap onto the bounds.
 
-A float solve may start from a given basis (``start``: the basis and
-which of its nonbasic columns sit at their upper bound): the optimal
-basis of the same LP with another right-hand side, or a crash basis
-built from the LP's structure.  The columns are the structural ones,
-then one slack per inequality row, then the artificials; a start must
-use the first two kinds only, so a started engine has no artificial
-column and no phase 1.  Row sign flips made by a cold start do not
-matter, because B^-1 A and the basic values do not change when rows
-are scaled.  The engine puts each nonbasic column at its bound,
-refactorizes, and runs dual simplex pivots until every basic value
-lies within its bounds up to the reduced-cost tolerance.  A primal
-feasible start, such as a crash basis, needs no dual pivot and goes
-straight to the primal loop.  The dual pivots rely on a dual feasible
-start, which an optimal basis stays when only the right-hand side moves.
-The leaving row is the one with the largest infeasibility (ties to the
-lowest row); with alpha = B^-1[r] T0 its pivot row, the entering
-column minimizes |d_j / alpha_j| over the nonbasic columns whose move
-restores that row (ties to the lowest column).  There is no bound
-flipping.  Most reduced costs of these LPs are 0, and with the true
-costs such ties made the dual simplex cycle until the iteration limit,
-so the dual phase prices with each nonbasic cost moved away from 0 on
-its dual feasible side by U(1e-7, 1e-6) * (1 + |c_j|), drawn from a
-fixed-seed generator, as cost_j + sign_j * delta_j.  Its eligible
-columns are those with sign_j * alpha_j on the restoring side.  The
-primal loop then runs on the true costs: it confirms optimality, or
-pivots on the few reduced costs the perturbation left on the wrong side.
+A solve starts from the slack basis (B = I, so B^-1 starts as the
+identity in either mode), with the structural columns listed in
+``at_upper`` at their upper bound and the others at their lower bound.
+That start must be primal feasible, every slack nonnegative; a start
+that violates a row raises SolverError naming the row.  Only the primal
+loop runs from it.
+
+A float solve may instead start from a given ``basis`` (warm start),
+with its nonbasic columns in ``at_upper`` at their upper bound: the
+optimal basis of the same LP with another right-hand side.  The engine
+puts each nonbasic column at its bound, refactorizes, and runs dual
+simplex pivots until every basic value lies within its bounds up to the
+reduced-cost tolerance, then the primal loop.  The dual pivots rely on
+a dual feasible start, which an optimal basis stays when only the
+right-hand side moves.  The leaving row is the one with the largest
+infeasibility (ties to the lowest row); with alpha = B^-1[r] T0 its
+pivot row, the entering column minimizes |d_j / alpha_j| over the
+nonbasic columns whose move restores that row (ties to the lowest
+column).  There is no bound flipping.  Most reduced costs of these LPs
+are 0, and with the true costs such ties made the dual simplex cycle
+until the iteration limit, so the dual phase prices with each nonbasic
+cost moved away from 0 on its dual feasible side by
+U(1e-7, 1e-6) * (1 + |c_j|), drawn from a fixed-seed generator, as
+cost_j + sign_j * delta_j.  Its eligible columns are those with
+sign_j * alpha_j on the restoring side.  The primal loop then runs on
+the true costs: it confirms optimality, or pivots on the few reduced
+costs the perturbation left on the wrong side.  Exact mode takes no
+warm basis: the perturbation is a float.
 """
 
 from __future__ import annotations
@@ -83,9 +80,8 @@ import numpy as np
 
 from .errors import SolverError
 
-LE = "<="
-GE = ">="
-EQ = "="
+# absolute tolerance of a float solve on reduced costs and ratio ties, and of the snap onto bounds
+TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,6 @@ class SimplexResult:
 def solve_simplex(
     c,
     A,
-    relations,
     rhs,
     lower,
     upper,
@@ -122,14 +117,16 @@ def solve_simplex(
     maximize: bool = False,
     exact: bool = False,
     max_iterations: int | None = None,
-    start: tuple | None = None,
+    at_upper=(),
+    basis=None,
 ) -> SimplexResult:
-    """Solve one LP; ``start`` is a ``(basis, at_upper)`` pair over its structural and slack columns.
+    """Solve ``A x <= rhs`` from the slack basis, or in float mode from a warm ``basis``.
 
-    ``iterations`` counts every pivot and bound flip, ``dual_iterations`` the dual
-    simplex pivots among them.
+    ``at_upper`` lists the nonbasic columns (structural and slack) that start at their
+    upper bound.  ``iterations`` counts every pivot and bound flip, ``dual_iterations``
+    the dual simplex pivots among them.
     """
-    return _Engine(c, A, relations, rhs, lower, upper, maximize, exact, max_iterations, start).solve()
+    return _Engine(c, A, rhs, lower, upper, maximize, exact, max_iterations, at_upper, basis).solve()
 
 
 def _fraction_or_inf(v):
@@ -145,23 +142,16 @@ def _to_exact(arr) -> np.ndarray:
 
 
 class _Engine:
-    def __init__(self, c, A, relations, rhs, lower, upper, maximize, exact, max_iterations, start):
-        A = np.array(A, dtype=float)
+    def __init__(self, c, A, rhs, lower, upper, maximize, exact, max_iterations, at_upper, basis):
+        A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] < 1:
             raise SolverError("constraint matrix must be 2-d with at least one row")
         nrows, nstruct = A.shape
         c = np.asarray(c, dtype=float)
-        rhs = np.array(rhs, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
-        relations = tuple(relations)
-        if (
-            len(relations) != nrows
-            or rhs.shape != (nrows,)
-            or c.shape != (nstruct,)
-            or lower.shape != (nstruct,)
-            or upper.shape != (nstruct,)
-        ):
+        if rhs.shape != (nrows,) or not c.shape == lower.shape == upper.shape == (nstruct,):
             raise SolverError("inconsistent LP dimensions")
         if not (np.isfinite(A).all() and np.isfinite(rhs).all() and np.isfinite(c).all()):
             raise SolverError("nonfinite LP data")
@@ -169,99 +159,50 @@ class _Engine:
             raise SolverError("lower bounds must be finite")
         if (lower > upper).any():
             raise SolverError("lower bound exceeds upper bound")
-        bad = set(relations) - {LE, GE, EQ}
-        if bad:
-            raise SolverError(f"unknown relation {bad.pop()!r}")
-        if exact and start is not None:
-            raise SolverError("a warm start needs float mode")
+        self.warm = basis is not None
+        if exact and self.warm:
+            raise SolverError("exact mode starts from the slack basis, not a given basis")
 
-        self.orig = (A.copy(), relations, rhs.copy(), lower, upper)
+        self.orig = (A, rhs, lower, upper)
         self.exact = bool(exact)
         self.nrows = nrows
         self.nstruct = nstruct
 
-        # normalize >= to <= so every inequality takes a slack
-        rels = []
-        for i, rel in enumerate(relations):
-            if rel == GE:
-                A[i] *= -1.0
-                rhs[i] = -rhs[i]
-                rels.append(LE)
-            else:
-                rels.append(rel)
-        le_rows = [i for i, r in enumerate(rels) if r == LE]
-        nslack = len(le_rows)
-        ncols0 = nstruct + nslack
-
-        W = np.zeros((nrows, ncols0))
-        W[:, :nstruct] = A
-        for k, i in enumerate(le_rows):
-            W[i, nstruct + k] = 1.0
-        lb = np.concatenate([lower, np.zeros(nslack)])
-        ub = np.concatenate([upper, np.full(nslack, math.inf)])
+        ncols = nstruct + nrows
+        W = np.concatenate([A, np.eye(nrows)], axis=1)
+        lb = np.concatenate([lower, np.zeros(nrows)])
+        ub = np.concatenate([upper, np.full(nrows, math.inf)])
+        basis = np.arange(nstruct, ncols) if basis is None else np.array(basis, dtype=np.intp)
+        at_upper = np.array(at_upper, dtype=np.intp)
+        cols = np.concatenate([basis, at_upper])
+        if (
+            basis.shape != (nrows,)
+            or not ((cols >= 0) & (cols < ncols)).all()
+            or len(set(cols.tolist())) != cols.size
+            or not np.isfinite(ub[at_upper]).all()
+        ):
+            raise SolverError("start is not a basis over this LP's structural and slack columns")
         sense = -1.0 if maximize else 1.0
-        cost = np.concatenate([sense * c, np.zeros(nslack)])
+        cost = np.concatenate([sense * c, np.zeros(nrows)])
 
-        # reduced-cost and ratio-tie, pivot, degenerate-step and phase-1 feasibility tolerances
-        tols = (1e-9, 1e-10, 1e-11, 1e-7 * max(1.0, float(np.abs(rhs).max())))
+        # reduced-cost and ratio-tie, pivot and degenerate-step tolerances
+        tols = (TOLERANCE, 1e-10, 1e-11)
         if exact:
             c, W, rhs, lb, ub, cost = (_to_exact(v) for v in (c, W, rhs, lb, ub, cost))
-            tols = (0, 0, 0, 0)
-        self.tol, self.pivtol, self.degen_tol, self.feas_tol = tols
+            tols = (0, 0, 0)
+        self.tol, self.pivtol, self.degen_tol = tols
         self.c = c
 
-        # starting point: everything nonbasic at its lower bound, or where the start puts it
+        # every nonbasic column at its lower bound, or at its upper bound if listed in at_upper
         vals = lb.copy()
-        sign = np.ones(ncols0, dtype=np.int8)
-        art_rows = []
-        if start is not None:
-            basis = np.array(start[0], dtype=np.intp)
-            at_upper = np.array(start[1], dtype=np.intp)
-            cols = np.concatenate([basis, at_upper])
-            if (
-                basis.shape != (nrows,)
-                or not ((cols >= 0) & (cols < ncols0)).all()
-                or len(set(cols.tolist())) != cols.size
-                or not np.isfinite(ub[at_upper]).all()
-            ):
-                raise SolverError("start is not a basis over this LP's structural and slack columns")
-            sign[at_upper] = -1
-            vals[at_upper] = ub[at_upper]
-            sign[basis] = 0
-        resid = rhs - W.dot(vals)
-        if start is None:
-            basis = np.full(nrows, -1, dtype=np.intp)
-            slack_pos = {row: k for k, row in enumerate(le_rows)}
-            for i in range(nrows):
-                if rels[i] == LE and resid[i] >= 0:
-                    j = nstruct + slack_pos[i]
-                    basis[i] = j
-                    sign[j] = 0
-                else:
-                    art_rows.append(i)
-        nart = len(art_rows)
-        if nart:
-            art = np.zeros((nrows, nart), dtype=W.dtype)
-            for k, i in enumerate(art_rows):
-                if resid[i] < 0:
-                    W[i] = -W[i]
-                    rhs[i] = -rhs[i]
-                    resid[i] = -resid[i]
-                art[i, k] = 1
-                basis[i] = ncols0 + k
-            zeros_art = np.zeros(nart, dtype=W.dtype)
-            W = np.concatenate([W, art], axis=1)
-            lb = np.concatenate([lb, zeros_art])
-            ub = np.concatenate([ub, np.full(nart, math.inf, dtype=ub.dtype)])
-            cost = np.concatenate([cost, zeros_art])
-            vals = np.concatenate([vals, zeros_art])
-            sign = np.concatenate([sign, np.zeros(nart, dtype=np.int8)])
+        sign = np.ones(ncols, dtype=np.int8)
+        sign[at_upper] = -1
+        vals[at_upper] = ub[at_upper]
+        sign[basis] = 0
 
         self.rhs = rhs
-        self.ncols0 = ncols0
-        self.nart = nart
         self.T0 = W
-        # the cold basis is made of unit slack and artificial columns, so B^-1 starts as the identity
+        # B^-1 of the slack basis is the identity; a warm basis refactorizes below
         self.Binv = np.eye(nrows) if not exact else _to_exact(np.eye(nrows))
         self.lb = lb
         self.ub = ub
@@ -269,45 +210,28 @@ class _Engine:
         self.vals = vals
         self.sign = sign
         self.basis = basis
-        self.xB = resid.copy()
+        # with every slack at 0 in vals these are the slack values; a warm start refactorizes below
+        self.xB = rhs - W.dot(vals)
         self.iterations = 0
         self.dual_iterations = 0
-        ncols = W.shape[1]
         self.max_iterations = (
             int(max_iterations) if max_iterations is not None else 200 * (nrows + ncols) + 5000
         )
-        self.started = start is not None
-        if self.started and not self._refactor():
-            raise SolverError("start basis is singular")
+        if self.warm:
+            if not self._refactor():
+                raise SolverError("start basis is singular")
+        else:
+            bad = np.flatnonzero(self.xB < -self.tol)
+            if bad.size:
+                r = int(bad[0])
+                raise SolverError(f"slack start violates row {r} (slack {float(self.xB[r]):.3e})")
 
     # ------------------------------------------------------------------
 
     def solve(self) -> SimplexResult:
-        if self.started:
+        if self.warm:
             self._run_dual()
-        if self.nart:
-            phase1 = np.zeros(self.T0.shape[1], dtype=self.T0.dtype)
-            phase1[self.ncols0 :] = 1
-            self._run(phase1)
-            art_sum = self.xB[self.basis >= self.ncols0].sum()
-            if art_sum > self.feas_tol:
-                raise SolverError(f"infeasible constraint system (phase-1 residual {float(art_sum):.3e})")
-            self._drive_out_artificials()
-            # freeze artificials at zero so phase 2 can never revive them
-            self.ub[self.ncols0 :] = 0
-            self.vals[self.ncols0 :] = 0
-        d = self._run(self.cost)
-        return self._finish(d)
-
-    def _drive_out_artificials(self):
-        for r in np.flatnonzero(self.basis >= self.ncols0).tolist():
-            # the largest nonbasic entry of the row, ties to the lowest column
-            mag = np.where(self.sign[: self.ncols0] == 0, 0, np.abs(self._row(r)[: self.ncols0]))
-            e = int(np.argmax(mag))
-            if mag[e] <= self.pivtol:
-                # row is redundant; keep the artificial basic, pinned at 0
-                continue
-            self._exchange(r, e, self._column(e), 0, True)
+        return self._finish(self._run(self.cost))
 
     # ------------------------------------------------------------------
 
@@ -469,7 +393,7 @@ class _Engine:
         x_full = self.vals.copy()
         x_full[self.basis] = self.xB
 
-        A0, rel0, rhs0, lower0, upper0 = self.orig
+        A0, rhs0, lower0, upper0 = self.orig
         x = x_full[: self.nstruct]
         if not self.exact:
             # snap drift of at most tol onto the bounds, from either side, so a bound reads
@@ -479,10 +403,7 @@ class _Engine:
         # .item() gives a Python float, or the Fraction itself in exact mode
         objective = np.asarray(np.dot(self.c, x)).item()
 
-        rels = np.array(rel0)
-        row = A0.dot(x) - rhs0
-        row = np.where(rels == GE, -row, np.where(rels == EQ, abs(row), row))
-        rp = float(max(0, row.max()))
+        rp = float(max(0, (A0.dot(x) - rhs0).max()))
         rb = float(max(0, (lower0 - x).max(), (x - upper0).max()))
         wrong = np.where(self.sign == 0, abs(d), -self.sign * d)
         wrong = wrong[self.ub > self.lb]

@@ -4,15 +4,17 @@ Clone families of point mutants are massively primal degenerate: a MinLP
 started at x = 0 has every probe row's slack basic at 0, and the rows of
 clones copied from one template are nearly equal.  On seed 1 a long
 degenerate run used to end in a wrong MinLP z*, and on seed 27 in a wrong
-MaxLP z*, because the row-updated tableau drifted.  Float solves start
-from a primal feasible crash basis instead.  The remaining cases are the
+MaxLP z*, because the row-updated tableau drifted.  Solves start from a
+primal feasible crash basis instead.  The remaining cases are the
 pivot stress inputs: replicated, duplicate and complementary probe
 columns, constant matrices, the two hardness reductions, and the
 extreme budgets s = 1 and s = m.
 
 The same inputs check the warm-started sweep over s against standalone
 (crash-started) solves and HiGHS, and small slices of them check the
-exact Fraction mode.
+exact Fraction mode.  HiGHS solves the textbook MaxLP that ``build_lp``
+writes, with its `>=` and `=` rows, while the package reads MaxLP off
+MinLP; its x* and z* must also meet the textbook rows.
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from balancedcover import Formulation, Instance, build_lp, gen_random, solve_lp, solve_sweep
+from balancedcover import Formulation, Instance, build_lp, gen_random, solve_formulation, solve_sweep
 from balancedcover.generators import gen_set_cover, gen_x3c, replicate_probes
 from balancedcover.ingest import reverse_complement
 
@@ -42,6 +44,18 @@ def clone_family(seed, clones=400, templates=40, length=1500, mutations=15, prob
     kmers = [_BASES[rng.integers(0, 4, size=6 + j % 2)].tobytes().decode() for j in range(probes)]
     a = [[p in c or reverse_complement(p) in c for p in kmers] for c in seqs]
     return Instance(np.array(a, dtype=np.int8))
+
+
+def row_violation(problem, sol):
+    """Largest violation of ``problem``'s rows and bounds at (x*, z*); exact for Fractions."""
+    point = np.append(sol.x, sol.z_star)
+    A, rhs = problem.A, problem.rhs
+    if isinstance(sol.z_star, Fraction):
+        A, rhs = (np.vectorize(Fraction, otypes=[object])(v) for v in (A, rhs))
+    lhs = A.dot(point) - rhs
+    rel = np.array(problem.relations)
+    rows = np.where(rel == "<=", lhs, np.where(rel == ">=", -lhs, abs(lhs)))
+    return max(rows.max(), (problem.lower - point).max(), (point - problem.upper).max())
 
 
 def highs_optimum(problem):
@@ -96,7 +110,7 @@ def test_float_simplex_agrees_with_highs(case):
     for s in budgets or (1, m // 2, m):
         for formulation in Formulation:
             problem = build_lp(instance, s, formulation)
-            sol = solve_lp(problem)
+            sol = solve_formulation(instance, s, formulation)
             # the crash basis is primal feasible: the solve runs no dual pivot
             assert sol.stats.dual_iterations == 0
             ref = highs_optimum(problem)
@@ -106,6 +120,9 @@ def test_float_simplex_agrees_with_highs(case):
                     f"{problem.label}: z* {sol.z_star!r} vs HiGHS {ref!r} after {stats.iterations} "
                     f"iterations, residual_bound {stats.residual_bound:.3g}"
                 )
+            # MaxLP is read off MinLP: (x*, z*) must meet the textbook rows HiGHS solved, sum x = s among them
+            if formulation is Formulation.MAXLP and row_violation(problem, sol) > 1e-9:
+                wrong.append(f"{problem.label}: textbook row violation {row_violation(problem, sol):.3g}")
     assert not wrong, "\n".join(wrong)
 
 
@@ -129,7 +146,7 @@ def test_warm_sweep_agrees_with_cold_and_highs(case):
                 rerun.stats.basis,
             )
             problem = build_lp(instance, s, formulation)
-            alone = solve_lp(problem).z_star
+            alone = solve_formulation(instance, s, formulation).z_star
             ref = highs_optimum(problem)
             tol = 1e-9 * max(1.0, abs(ref))
             if abs(sol.z_star - alone) > tol or abs(sol.z_star - ref) > tol or sol.stats.residual_bound > 1e-9:
@@ -137,6 +154,9 @@ def test_warm_sweep_agrees_with_cold_and_highs(case):
                     f"{problem.label}: sweep z* {sol.z_star!r} vs standalone {alone!r} vs HiGHS {ref!r}, "
                     f"residual_bound {sol.stats.residual_bound:.3g}"
                 )
+            # the MinLP sweep's x* often sums to less than s here, so MaxLP's x* is raised
+            if formulation is Formulation.MAXLP and row_violation(problem, sol) > 1e-9:
+                wrong.append(f"{problem.label}: sweep textbook row violation {row_violation(problem, sol):.3g}")
     assert not wrong, "\n".join(wrong)
 
 
@@ -158,11 +178,23 @@ def test_exact_mode_agrees_with_highs_and_float(case):
     for s in (1, m // 2, m):
         for formulation in Formulation:
             problem = build_lp(instance, s, formulation)
-            exact = solve_lp(problem, exact=True).z_star
+            exact = solve_formulation(instance, s, formulation, exact=True).z_star
             assert isinstance(exact, Fraction)
             ref = highs_optimum(problem)
-            flt = solve_lp(problem).z_star
+            flt = solve_formulation(instance, s, formulation).z_star
             tol = 1e-9 * max(1.0, abs(ref))
             if abs(exact - ref) > tol or abs(exact - flt) > tol:
                 wrong.append(f"{problem.label}: exact z* {exact} vs HiGHS {ref!r} vs float {flt!r}")
     assert not wrong, "\n".join(wrong)
+
+
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+def test_exact_minlp_and_maxlp_sum_to_half_the_budget(case):
+    instance = EXACT_CASES[case]()
+    m = instance.num_clones
+    for s in (1, m // 2, m):
+        minlp = solve_formulation(instance, s, Formulation.MINLP, exact=True)
+        maxlp = solve_formulation(instance, s, Formulation.MAXLP, exact=True)
+        assert minlp.z_star + maxlp.z_star == Fraction(s, 2)
+        assert row_violation(build_lp(instance, s, Formulation.MAXLP), maxlp) <= 0
+        assert sum(maxlp.x) == s

@@ -23,6 +23,7 @@ from balancedcover import (
 )
 from balancedcover import lp as lp_module
 from balancedcover.errors import SolverError
+from balancedcover.lp import FractionalSolution, maxlp_from_minlp
 from conftest import random_instance
 
 
@@ -118,6 +119,29 @@ class TestShapes:
             prob.rhs[0] = 7.0
 
 
+READ_OFF_MINLP = "read off the MinLP solve at the same s"
+
+
+def assert_read_off_minlp(maxlp, minlp, s):
+    """MaxLP's z* is s/2 - z*_MinLP, its x* MinLP's raised to sum s lowest index first, its stats MinLP's."""
+    exact = isinstance(minlp.z_star, Fraction)
+    assert maxlp.formulation is Formulation.MAXLP
+    assert maxlp.z_star == (Fraction(s, 2) if exact else s / 2) - minlp.z_star
+    x = list(minlp.x)
+    short = s - sum(x)
+    for i in range(len(x)):
+        if short <= (0 if exact else 1e-9):
+            break
+        step = min(1 - x[i], short)
+        x[i] += step
+        short -= step
+    assert list(maxlp.x) == (x if exact else pytest.approx(x, abs=1e-12))
+    assert all(
+        np.array_equal(getattr(maxlp.stats, f.name), getattr(minlp.stats, f.name))
+        for f in dataclasses.fields(minlp.stats)
+    )
+
+
 def assert_all_fractions(sol):
     # equality with a Fraction would also pass for an int leaking from the solver
     assert type(sol.z_star) is Fraction
@@ -140,30 +164,34 @@ class TestGoldenValues:
         assert sol.z_star == golden.MAXLP_OPT
         assert_all_fractions(sol)
 
-    # (formulation, s) -> (z*, iterations, basis) of the exact solve; any change to the
-    # engine that moves exact mode's pivot sequence shows here
+    # (formulation, s) -> (z*, iterations, basis) of the exact solve, which starts from the slack
+    # basis with the crash clones at 1; any change to the engine that moves exact mode's pivot
+    # sequence shows here.  MaxLP is no LP of its own: it is read off the MinLP solve at the same s
     EXACT_PIVOT_PATH = {
-        (Formulation.MINLP, 3): (Fraction(7, 5), 9, (8, 0, 11, 4, 6, 14, 1, 16, 17, 18, 7, 20, 21, 22, 9)),
-        (Formulation.MINLP, 6): (Fraction(2), 9, (8, 0, 11, 4, 9, 14, 1, 16, 17, 18, 7, 20, 21, 22, 23)),
-        (Formulation.MAXLP, 3): (Fraction(1, 10), 24, (0, 8, 6, 10, 13, 4, 15, 17, 18, 12, 19, 16, 21, 7, 22)),
-        (Formulation.MAXLP, 6): (Fraction(1), 29, (8, 11, 5, 10, 13, 20, 15, 18, 17, 14, 19, 16, 21, 12, 22)),
-        (Formulation.AVGLP, 3): (Fraction(41, 28), 20, (8, 1, 9, 4, 10, 15, 11, 0, 12, 24, 13, 26, 14, 17, 6)),
-        (Formulation.AVGLP, 6): (Fraction(20, 7), 26, (8, 21, 9, 15, 10, 2, 11, 7, 12, 24, 13, 26, 14, 28, 18)),
+        (Formulation.MINLP, 3): (Fraction(7, 5), 8, (9, 8, 11, 4, 2, 14, 1, 16, 17, 18, 7, 20, 21, 22, 6)),
+        (Formulation.MINLP, 6): (Fraction(2), 3, (9, 8, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 0)),
+        (Formulation.MAXLP, 3): READ_OFF_MINLP,
+        (Formulation.MAXLP, 6): READ_OFF_MINLP,
+        (Formulation.AVGLP, 3): (Fraction(41, 28), 18, (1, 8, 9, 4, 10, 15, 11, 0, 12, 24, 13, 26, 14, 17, 6)),
+        (Formulation.AVGLP, 6): (Fraction(20, 7), 12, (15, 8, 9, 18, 10, 2, 11, 1, 12, 24, 13, 26, 14, 28, 7)),
     }
 
     @pytest.mark.parametrize("form, s", list(EXACT_PIVOT_PATH), ids=lambda v: getattr(v, "value", v))
     def test_exact_pivot_path_is_fixed(self, golden_instance, form, s):
         sol = solve_formulation(golden_instance, s, form, exact=True)
-        assert (sol.z_star, sol.stats.iterations, sol.stats.basis) == self.EXACT_PIVOT_PATH[form, s]
         assert_all_fractions(sol)
+        if self.EXACT_PIVOT_PATH[form, s] is READ_OFF_MINLP:
+            assert_read_off_minlp(sol, solve_formulation(golden_instance, s, Formulation.MINLP, exact=True), s)
+            return
+        assert (sol.z_star, sol.stats.iterations, sol.stats.basis) == self.EXACT_PIVOT_PATH[form, s]
 
     # (formulation, s) -> (z*, iterations, dual_iterations, basis, at_upper) of the crash-started
     # float solve; z* is compared to 1e-9, the pivot path exactly
     FLOAT_PIVOT_PATH = {
         (Formulation.MINLP, 3): (1.4, 8, 0, (9, 8, 11, 4, 2, 14, 1, 16, 17, 18, 7, 20, 21, 22, 6), (3, 5)),
         (Formulation.MINLP, 6): (2.0, 3, 0, (9, 8, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 0), (1, 2, 3, 4, 5, 6)),
-        (Formulation.MAXLP, 3): (0.1, 7, 0, (8, 10, 4, 12, 13, 6, 15, 1, 17, 18, 19, 7, 21, 22, 2), (3, 5)),
-        (Formulation.MAXLP, 6): (1.0, 3, 0, (8, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 1), (2, 3, 4, 5, 6)),
+        (Formulation.MAXLP, 3): READ_OFF_MINLP,
+        (Formulation.MAXLP, 6): READ_OFF_MINLP,
         (Formulation.AVGLP, 3): (41 / 28, 16, 0, (2, 8, 9, 4, 10, 1, 11, 7, 12, 24, 13, 15, 14, 17, 6), (3, 5)),
         (Formulation.AVGLP, 6): (20 / 7, 11, 0, (15, 8, 9, 18, 10, 7, 11, 1, 12, 24, 13, 26, 14, 28, 0), (2, 3, 4, 5, 6)),
     }
@@ -171,6 +199,9 @@ class TestGoldenValues:
     @pytest.mark.parametrize("form, s", list(FLOAT_PIVOT_PATH), ids=lambda v: getattr(v, "value", v))
     def test_float_pivot_path_is_fixed(self, golden_instance, form, s):
         sol = solve_formulation(golden_instance, s, form)
+        if self.FLOAT_PIVOT_PATH[form, s] is READ_OFF_MINLP:
+            assert_read_off_minlp(sol, solve_formulation(golden_instance, s, Formulation.MINLP), s)
+            return
         z, *path = self.FLOAT_PIVOT_PATH[form, s]
         assert sol.z_star == pytest.approx(z, abs=1e-9)
         assert [sol.stats.iterations, sol.stats.dual_iterations, sol.stats.basis, sol.stats.at_upper] == path
@@ -184,13 +215,7 @@ class TestGoldenValues:
             (2.0, 1, 1, (9, 8, 11, 0, 7, 14, 1, 16, 17, 18, 4, 20, 21, 22, 13), (3, 5, 6)),
             (2.0, 2, 2, (9, 8, 11, 19, 23, 14, 1, 16, 17, 18, 4, 20, 21, 22, 13), (3, 5, 6)),
         ],
-        Formulation.MAXLP: [
-            (0.0, 4, 0, (8, 10, 0, 12, 13, 3, 15, 5, 17, 18, 19, 20, 21, 22, 4), ()),
-            (0.1, 3, 3, (8, 10, 0, 12, 13, 6, 15, 7, 17, 18, 19, 1, 21, 22, 4), (3, 5)),
-            (0.2, 0, 0, (8, 10, 0, 12, 13, 6, 15, 7, 17, 18, 19, 1, 21, 22, 4), (3, 5)),
-            (0.5, 1, 1, (8, 10, 0, 12, 13, 11, 15, 7, 17, 18, 19, 1, 21, 22, 4), (3, 5, 6)),
-            (1.0, 4, 4, (8, 10, 2, 12, 13, 11, 15, 14, 17, 18, 19, 16, 21, 20, 4), (0, 1, 3, 5, 6)),
-        ],
+        Formulation.MAXLP: READ_OFF_MINLP,
         Formulation.AVGLP: [
             (1.0, 12, 0, (0, 8, 4, 9, 10, 1, 11, 5, 12, 24, 13, 26, 14, 28, 3), ()),
             (41 / 28, 3, 3, (0, 8, 4, 9, 10, 1, 11, 17, 12, 24, 13, 26, 14, 15, 6), (3, 5)),
@@ -202,7 +227,13 @@ class TestGoldenValues:
 
     @pytest.mark.parametrize("form", list(SWEEP_PIVOT_PATH), ids=lambda v: v.value)
     def test_sweep_pivot_path_is_fixed(self, golden_instance, form):
-        sweep = solve_sweep(golden_instance, [2, 3, 4, 5, 6], form)
+        s_values = [2, 3, 4, 5, 6]
+        sweep = solve_sweep(golden_instance, s_values, form)
+        if self.SWEEP_PIVOT_PATH[form] is READ_OFF_MINLP:
+            minlp = solve_sweep(golden_instance, s_values, Formulation.MINLP)
+            for s, sol, base in zip(s_values, sweep, minlp, strict=True):
+                assert_read_off_minlp(sol, base, s)
+            return
         for sol, (z, *path) in zip(sweep, self.SWEEP_PIVOT_PATH[form], strict=True):
             assert sol.z_star == pytest.approx(z, abs=1e-9)
             assert [sol.stats.iterations, sol.stats.dual_iterations, sol.stats.basis, sol.stats.at_upper] == path
@@ -275,6 +306,45 @@ class TestSolutionProperties:
             sol = solve_formulation(inst, s, Formulation.MAXLP)
             assert sol.z_star == 0.0
             assert str(sol.z_star) == "0.0"
+        # on the matrix of `bench --size 30x8 --density 0.5 --seed 5` the warm MinLP sweep reads z*
+        # up to 1.8e-15 above s/2 at these s, so s/2 - z*_MinLP alone would read below 0
+        sweep = solve_sweep(gen_random(30, 8, 0.5, 1428740210282922284), range(1, 31), Formulation.MAXLP)
+        for s in (1, 2, 4, 13, 19):
+            assert str(sweep[s - 1].z_star) == "0.0"
+
+
+class TestMaxlpFromMinlp:
+    """The rule that reads MaxLP off a MinLP solution, on hand-made MinLP solutions."""
+
+    @staticmethod
+    def minlp(z, x):
+        return FractionalSolution(Formulation.MINLP, z, np.array(x), stats=None)
+
+    def test_raise_fills_the_lowest_index_first(self):
+        sol = maxlp_from_minlp(self.minlp(0.25, [0.5, 1.0, 0.0, 0.25]), 3)
+        assert sol.formulation is Formulation.MAXLP
+        assert sol.z_star == 1.25
+        assert sol.x.tolist() == [1.0, 1.0, 0.75, 0.25]
+        assert not sol.x.flags.writeable
+
+    def test_raise_is_exact_on_fractions(self):
+        sol = maxlp_from_minlp(self.minlp(Fraction(1, 3), [Fraction(1, 3), Fraction(0), Fraction(1)]), 2)
+        assert sol.z_star == Fraction(2, 3)
+        assert list(sol.x) == [1, 0, 1]
+        assert_all_fractions(sol)
+
+    def test_shortfall_within_the_tolerance_is_left(self):
+        x = [0.5, 0.5 - 1e-10, 0.0]
+        assert maxlp_from_minlp(self.minlp(0.5, x), 1).x.tolist() == x
+
+    def test_z_within_the_tolerance_of_zero_reads_zero(self):
+        for z_min in (0.5 + 2**-52, 0.5 - 1e-10):
+            assert str(maxlp_from_minlp(self.minlp(z_min, [1.0]), 1).z_star) == "0.0"
+        assert maxlp_from_minlp(self.minlp(0.5 - 1e-8, [1.0]), 1).z_star == pytest.approx(1e-8)
+
+    def test_solve_lp_refuses_the_textbook_maxlp(self, golden_instance):
+        with pytest.raises(SolverError, match=r"maxlp\(m=8, n=7, s=6\): solve_lp solves <= rows only"):
+            solve_lp(build_lp(golden_instance, 6, Formulation.MAXLP))
 
 
 class TestResidualCertificate:
