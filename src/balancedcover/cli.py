@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -176,23 +177,27 @@ def _ground_truth_comment(kind: GeneratorKind, truth: bool | None) -> str:
     return "ground-truth: size-s-cover-exists" if truth else "ground-truth: no-size-s-cover"
 
 
+# the flags each generator kind cannot do without (argparse dests)
+_GEN_REQUIRED = {
+    GeneratorKind.RANDOM: ("m", "n", "density"),
+    GeneratorKind.X3C: ("universe",),
+    GeneratorKind.SETCOVER: ("universe", "target_b"),
+    GeneratorKind.REPLICATE: ("input", "r"),
+}
+
+
 def cmd_gen(args) -> int:
     kind = GeneratorKind(args.kind)
-    comments: list[str] = []
+    missing = [f for f in _GEN_REQUIRED[kind] if getattr(args, f) is None]
+    if missing:
+        flags = " ".join("--" + f.replace("_", "-") for f in missing)
+        raise _UsageError(f"--kind {kind.value} requires {flags}")
+    seed = None if kind is GeneratorKind.REPLICATE else _resolve_seed(args.seed)
+    red = None
     if kind is GeneratorKind.RANDOM:
-        missing = [f for f in ("m", "n", "density") if getattr(args, f) is None]
-        if missing:
-            raise _UsageError("--kind random requires --" + " --".join(missing))
-        seed = _resolve_seed(args.seed)
         inst = gen_random(args.m, args.n, args.density, seed)
-        spec = GeneratorSpec(
-            kind, seed, (("m", args.m), ("n", args.n), ("density", args.density))
-        )
-        comments.append(f"generator: {spec.describe()}")
+        params = (("m", args.m), ("n", args.n), ("density", args.density))
     elif kind is GeneratorKind.X3C:
-        if args.universe is None:
-            raise _UsageError("--universe is required for --kind x3c")
-        seed = _resolve_seed(args.seed)
         num_triples = args.triples if args.triples is not None else 2 * (args.universe // 3)
         red = gen_x3c(
             args.universe,
@@ -201,25 +206,12 @@ def cmd_gen(args) -> int:
             seed=seed,
             solve_ground_truth=args.universe <= 12,
         )
-        inst = red.instance
-        spec = GeneratorSpec(
-            kind,
-            seed,
-            (
-                ("universe", args.universe),
-                ("triples", num_triples),
-                ("plant-cover", json.dumps(args.plant_cover)),
-                ("s", red.s),
-            ),
+        params = (
+            ("universe", args.universe),
+            ("triples", num_triples),
+            ("plant-cover", json.dumps(args.plant_cover)),
         )
-        comments.append(f"generator: {spec.describe()}")
-        comments.append(_ground_truth_comment(kind, red.ground_truth))
     elif kind is GeneratorKind.SETCOVER:
-        if args.universe is None:
-            raise _UsageError("--universe is required for --kind setcover")
-        if args.target_b is None:
-            raise _UsageError("--target-b is required for --kind setcover")
-        seed = _resolve_seed(args.seed)
         family_size = args.sets if args.sets is not None else args.universe
         red = gen_set_cover(
             args.universe,
@@ -229,29 +221,21 @@ def cmd_gen(args) -> int:
             seed=seed,
             solve_ground_truth=family_size <= 12,
         )
-        inst = red.instance
-        spec = GeneratorSpec(
-            kind,
-            seed,
-            (
-                ("universe", args.universe),
-                ("sets", family_size),
-                ("max-set-size", args.max_set_size),
-                ("target-b", args.target_b),
-                ("s", red.s),
-            ),
+        params = (
+            ("universe", args.universe),
+            ("sets", family_size),
+            ("max-set-size", args.max_set_size),
+            ("target-b", args.target_b),
         )
-        comments.append(f"generator: {spec.describe()}")
-        comments.append(_ground_truth_comment(kind, red.ground_truth))
     else:
-        if args.input is None:
-            raise _UsageError("--input is required for --kind replicate")
-        if args.r is None:
-            raise _UsageError("--r is required for --kind replicate")
-        src = read_matrix(args.input)
-        inst = replicate_probes(src, args.r)
-        spec = GeneratorSpec(kind, None, (("input", args.input), ("r", args.r)))
-        comments.append(f"generator: {spec.describe()}")
+        inst = replicate_probes(read_matrix(args.input), args.r)
+        params = (("input", args.input), ("r", args.r))
+    if red is not None:
+        inst = red.instance
+        params += (("s", red.s),)
+    comments = [f"generator: {GeneratorSpec(kind, seed, params).describe()}"]
+    if red is not None:
+        comments.append(_ground_truth_comment(kind, red.ground_truth))
     write_matrix(args.out, inst, comments=tuple(comments))
     print(f"wrote {args.out}: m={inst.num_clones} n={inst.num_probes}")
     return 0
@@ -305,12 +289,10 @@ def _ratio(lp_value: float, rounded: float, maximize: bool) -> float:
 
 
 def cmd_bench(args) -> int:
-    sizes = [_parse_size(t) for t in args.size]
-    densities = list(args.density)
+    sizes, densities, s_values = args.size, args.density, args.s_range
     for d in densities:
         if not 0.0 <= d <= 1.0:
             raise _UsageError(f"--density {d} must lie in [0, 1]")
-    s_values = _parse_s_range(args.s_range)
     algorithms = [Algorithm(a) for a in (args.alg or ["rcm"])]
     if args.trials < 1:
         raise _UsageError(f"--trials must be >= 1, got {args.trials}")
@@ -325,51 +307,48 @@ def cmd_bench(args) -> int:
         check_writable(path)
 
     rows = []
-    matrix_counter = 0
-    for m, n in sizes:
-        for dens in densities:
-            matrix_seed = _mix_seed(seed, matrix_counter)
-            inst = gen_random(m, n, dens, matrix_seed)
-            matrix_id = f"m{m}n{n}d{dens}i{matrix_counter}"
-            # one warm-started sweep over s per LP the algorithms need; MaxLP is read off
-            # the MinLP sweep, so rcm and rdm share it
-            wanted = dict.fromkeys(ALGORITHM_FORMULATION[alg] for alg in algorithms)
-            solved = dict.fromkeys(Formulation.MINLP if f is Formulation.MAXLP else f for f in wanted)
-            sweeps = {f: solve_sweep(inst, s_values, f) for f in solved}
-            if Formulation.MAXLP in wanted:
-                sweeps[Formulation.MAXLP] = [
-                    maxlp_from_minlp(sol, s) for s, sol in zip(s_values, sweeps[Formulation.MINLP])
-                ]
-            for k, s in enumerate(s_values):
-                for alg_index, alg in enumerate(algorithms):
-                    lp_sol = sweeps[ALGORITHM_FORMULATION[alg]][k]
-                    kind = ALGORITHM_OBJECTIVE[alg]
-                    lp_value = float(lp_sol.z_star)
-                    for trial in range(args.trials):
-                        run_seed = _mix_seed(seed, matrix_counter, s, alg_index, trial)
-                        config = RoundingConfig(algorithm=alg, seed=run_seed, restarts=1)
-                        t0 = time.perf_counter()
-                        report = solve_end_to_end(inst, s, config, lp_solution=lp_sol)
-                        wall_ms = (time.perf_counter() - t0) * 1000.0
-                        value = report.best.value(kind)
-                        rows.append(
-                            {
-                                "matrixId": matrix_id,
-                                "m": m,
-                                "n": n,
-                                "density": dens,
-                                "s": s,
-                                "objective": kind.value,
-                                "algorithm": alg.value,
-                                "trial": trial,
-                                "seed": run_seed,
-                                "lpValue": f"{lp_value:.10g}",
-                                "roundedValue": f"{value:.10g}",
-                                "ratio": f"{_ratio(lp_value, value, kind.maximize):.10g}",
-                                "wallTimeMs": f"{wall_ms:.3f}",
-                            }
-                        )
-            matrix_counter += 1
+    for matrix_counter, ((m, n), dens) in enumerate(itertools.product(sizes, densities)):
+        matrix_seed = _mix_seed(seed, matrix_counter)
+        inst = gen_random(m, n, dens, matrix_seed)
+        matrix_id = f"m{m}n{n}d{dens}i{matrix_counter}"
+        # one warm-started sweep over s per LP the algorithms need; MaxLP is read off
+        # the MinLP sweep, so rcm and rdm share it
+        wanted = dict.fromkeys(ALGORITHM_FORMULATION[alg] for alg in algorithms)
+        solved = dict.fromkeys(Formulation.MINLP if f is Formulation.MAXLP else f for f in wanted)
+        sweeps = {f: solve_sweep(inst, s_values, f) for f in solved}
+        if Formulation.MAXLP in wanted:
+            sweeps[Formulation.MAXLP] = [
+                maxlp_from_minlp(sol, s) for s, sol in zip(s_values, sweeps[Formulation.MINLP])
+            ]
+        for k, s in enumerate(s_values):
+            for alg_index, alg in enumerate(algorithms):
+                lp_sol = sweeps[ALGORITHM_FORMULATION[alg]][k]
+                kind = ALGORITHM_OBJECTIVE[alg]
+                lp_value = float(lp_sol.z_star)
+                for trial in range(args.trials):
+                    run_seed = _mix_seed(seed, matrix_counter, s, alg_index, trial)
+                    config = RoundingConfig(algorithm=alg, seed=run_seed, restarts=1)
+                    t0 = time.perf_counter()
+                    report = solve_end_to_end(inst, s, config, lp_solution=lp_sol)
+                    wall_ms = (time.perf_counter() - t0) * 1000.0
+                    value = report.best.value(kind)
+                    rows.append(
+                        {
+                            "matrixId": matrix_id,
+                            "m": m,
+                            "n": n,
+                            "density": dens,
+                            "s": s,
+                            "objective": kind.value,
+                            "algorithm": alg.value,
+                            "trial": trial,
+                            "seed": run_seed,
+                            "lpValue": f"{lp_value:.10g}",
+                            "roundedValue": f"{value:.10g}",
+                            "ratio": f"{_ratio(lp_value, value, kind.maximize):.10g}",
+                            "wallTimeMs": f"{wall_ms:.3f}",
+                        }
+                    )
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(BENCH_COLUMNS), lineterminator="\n")
@@ -473,10 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="sweep algorithms over generated matrices into CSV")
-    p.add_argument("--size", action="append", required=True, help="matrix size MxN (repeatable)")
+    p.add_argument(
+        "--size", action="append", type=_parse_size, required=True, help="matrix size MxN (repeatable)"
+    )
     p.add_argument("--density", action="append", type=float, required=True, help="repeatable")
-    p.add_argument("--s-range", required=True, help="start:stop[:step], inclusive")
-    p.add_argument("--alg", action="append", default=None, help="repeatable (default rcm)")
+    p.add_argument("--s-range", type=_parse_s_range, required=True, help="start:stop[:step], inclusive")
+    p.add_argument(
+        "--alg", action="append", choices=[a.value for a in Algorithm], help="repeatable (default rcm)"
+    )
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="CSV path (summary written to <out>.summary)")
@@ -485,17 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as err:
         # argparse exits directly for --help
         return int(err.code or 0)
-    try:
-        return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -209,6 +209,13 @@ def _check_budget(instance: Instance, s) -> int:
     return s
 
 
+def _seeded_rng(seed: int | None) -> np.random.Generator:
+    """numpy's generator for a seed that must be >= 0 (None draws one from entropy)."""
+    if seed is not None and seed < 0:
+        raise InputError(f"seed {seed} must be >= 0")
+    return np.random.default_rng(seed)
+
+
 def compute_degrees(instance: Instance, selected: Iterable[int]) -> np.ndarray:
     """Per-probe count of selected neighbouring clones, as an int vector."""
     return _degrees(instance, _normalize_selection(instance, selected))

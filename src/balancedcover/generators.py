@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Instance
+from .core import Instance, _seeded_rng
 from .errors import InputError
 
 
@@ -65,7 +65,7 @@ def gen_random(m: int, n: int, density: float, seed: int) -> Instance:
         raise InputError(f"matrix shape {m}x{n} must be positive")
     if not 0.0 <= density <= 1.0:
         raise InputError(f"density {density} must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     return Instance((rng.random((m, n)) < density).astype(np.int8))
 
 
@@ -165,7 +165,7 @@ def gen_x3c(
     all_triples = list(itertools.combinations(range(universe_size), 3))
     if num_triples > len(all_triples):
         raise InputError(f"only {len(all_triples)} distinct triples exist, asked for {num_triples}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     chosen: list[tuple[int, ...]] = []
     if plant_cover:
         perm = rng.permutation(universe_size)
@@ -276,7 +276,7 @@ def gen_set_cover(
         raise InputError("family must have at least one set")
     if not 1 <= max_set_size <= universe_size:
         raise InputError(f"max set size {max_set_size} must lie in [1, {universe_size}]")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     family = []
     for _ in range(family_size):
         size = int(rng.integers(1, max_set_size + 1))

@@ -73,11 +73,7 @@ def normalize_bases(raw: str, policy: AmbiguityPolicy = AmbiguityPolicy.REJECT, 
 
 def reverse_complement(seq: str) -> str:
     """Reverse complement of an A/C/G/T string (e.g. ACGT -> ACGT, AAC -> GTT)."""
-    bases = seq.upper()
-    bad = _NON_ACGT.search(bases)
-    if bad:
-        raise InputError(f"invalid base {bad.group()!r} at position {bad.start() + 1}")
-    return bases.translate(_COMPLEMENT)[::-1]
+    return _reverse_complement_lenient(normalize_bases(seq))
 
 
 def _reverse_complement_lenient(seq: str) -> str:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Instance, ObjectiveKind, _check_budget, objective_denominator, objective_scores
+from .core import Instance, ObjectiveKind, _check_budget, _seeded_rng, objective_denominator, objective_scores
 from .errors import BudgetExceededError, InputError
 
 DEFAULT_BUDGET = 10_000_000
@@ -261,7 +261,7 @@ def estimate_excess_expectation(
         raise InputError(f"trials must be >= 1, got {trials}")
     mu = float(p.sum())
     threshold = (1.0 + epsilon) * mu
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     total = 0.0
     total_sq = 0.0
     done = 0

@@ -200,6 +200,12 @@ def _unselected(selected: np.ndarray, m: int) -> np.ndarray:
     return np.flatnonzero(~taken)
 
 
+def _random_top_up(selected: np.ndarray, count: int, rng: np.random.Generator, m: int) -> np.ndarray:
+    """Add ``count`` clones drawn uniformly from those outside ``selected``."""
+    added = rng.choice(_unselected(selected, m), size=count, replace=False)
+    return np.sort(np.concatenate([selected, added]))
+
+
 def _drop_excess(selected: np.ndarray, count: int, x_star: np.ndarray, rng: np.random.Generator, policy: RepairPolicy) -> np.ndarray:
     if policy is RepairPolicy.RANDOM:
         drop_pos = rng.choice(selected.size, size=count, replace=False)
@@ -213,14 +219,12 @@ def _drop_excess(selected: np.ndarray, count: int, x_star: np.ndarray, rng: np.r
 
 
 def _fill_shortfall(selected: np.ndarray, count: int, x_star: np.ndarray, rng: np.random.Generator, policy: RepairPolicy, m: int) -> np.ndarray:
-    pool = _unselected(selected, m)
     if policy is RepairPolicy.RANDOM:
-        added = rng.choice(pool, size=count, replace=False)
-    else:
-        # largest fractional value first: nearest to being selected
-        order = np.lexsort((pool, -x_star[pool]))
-        added = pool[order[:count]]
-    return np.sort(np.concatenate([selected, added]))
+        return _random_top_up(selected, count, rng, m)
+    # largest fractional value first: nearest to being selected
+    pool = _unselected(selected, m)
+    order = np.lexsort((pool, -x_star[pool]))
+    return np.sort(np.concatenate([selected, pool[order[:count]]]))
 
 
 def _pad(
@@ -236,8 +240,7 @@ def _pad(
     if need <= 0 or policy is PadPolicy.NONE:
         return selected
     if policy is PadPolicy.RANDOM:
-        added = rng.choice(_unselected(selected, instance.num_clones), size=need, replace=False)
-        return np.sort(np.concatenate([selected, added]))
+        return _random_top_up(selected, need, rng, instance.num_clones)
     # greedy: repeatedly add the clone that best helps the objective, ties
     # to the lowest clone index.  A probe at degree d scores min(d, s - d);
     # a candidate changes the degree of exactly the probes it hits.
@@ -284,18 +287,13 @@ def _single_round(
     sampled = int(selected.size)
     raw = _score(a, selected, sampled if kind.maximize else s, kind)
 
-    if algorithm is Algorithm.RDM:
-        excess = sampled - s
-        if excess > 0:
-            selected = _drop_excess(selected, excess, x_star, rng, config.repair_policy)
-        elif excess < 0:
-            selected = _fill_shortfall(selected, -excess, x_star, rng, config.repair_policy, m)
-        repaired = abs(excess)
-    else:
-        excess = max(sampled - s, 0)
-        if excess > 0:
-            selected = _drop_excess(selected, excess, x_star, rng, config.repair_policy)
-        repaired = excess
+    # every algorithm drops an excess; only rdm fills a shortfall (the others pad)
+    excess = sampled - s
+    if excess > 0:
+        selected = _drop_excess(selected, excess, x_star, rng, config.repair_policy)
+    elif excess < 0 and algorithm is Algorithm.RDM:
+        selected = _fill_shortfall(selected, -excess, x_star, rng, config.repair_policy, m)
+    repaired = abs(excess) if algorithm is Algorithm.RDM else max(excess, 0)
 
     pre_pad = _score(a, selected, s, kind)
     if algorithm is not Algorithm.RDM:

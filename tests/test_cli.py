@@ -292,9 +292,17 @@ class TestGen:
         assert f"# generator: replicate input={golden_matrix} r=2" in out.read_text()
 
     def test_missing_required_flags_usage_error(self, tmp_path, capsys):
-        rc = main(["gen", "--kind", "random", "--m", "10", "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "--n" in capsys.readouterr().err
+        for given, missing in [
+            (["--kind", "random", "--m", "10"], ["--n", "--density"]),
+            (["--kind", "x3c", "--triples", "4"], ["--universe"]),
+            (["--kind", "setcover"], ["--universe", "--target-b"]),
+            (["--kind", "setcover", "--universe", "5"], ["--target-b"]),
+            (["--kind", "replicate", "--r", "2"], ["--input"]),
+        ]:
+            assert main(["gen", *given, "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert all(flag in err for flag in missing), (given, err)
+        assert not (tmp_path / "o").exists()
 
     def test_gen_without_seed_prints_one(self, tmp_path, capsys):
         out = tmp_path / "r.matrix"
@@ -485,6 +493,49 @@ class TestTopLevel:
         assert main([]) == 1
 
 
+def run_cli(argv):
+    """Run the CLI in a fresh interpreter: (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(balancedcover.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "balancedcover.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+class TestBadFlagValues:
+    """A flag value the CLI cannot use ends in its exit code, not a traceback."""
+
+    def test_unknown_bench_algorithm_is_usage_error(self, tmp_path):
+        out = tmp_path / "b.csv"
+        argv = ["bench", "--size", "6x3", "--density", "0.5", "--s-range", "2:3", "--alg", "foo", "--out", out]
+        rc, err = run_cli(argv)
+        assert rc == 1, err
+        assert "--alg" in err and "foo" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kind", "random", "--m", "4", "--n", "3", "--density", "0.5"],
+            ["--kind", "x3c", "--universe", "6"],
+            ["--kind", "setcover", "--universe", "5", "--target-b", "2"],
+        ],
+        ids=["random", "x3c", "setcover"],
+    )
+    def test_negative_gen_seed_is_input_error(self, tmp_path, flags):
+        out = tmp_path / "g.matrix"
+        rc, err = run_cli(["gen", *flags, "--seed", "-1", "--out", out])
+        assert rc == 2, err
+        assert "seed -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestPathErrors:
     """A path that cannot be read or written is bad input: exit 2, no traceback."""
 
@@ -543,14 +594,7 @@ class TestPathErrors:
     )
     def test_exit_2_naming_the_path(self, tmp_path, case):
         argv, path = getattr(self, case)(tmp_path)
-        env = dict(os.environ, PYTHONPATH=str(Path(balancedcover.__file__).parent.parent))
-        proc = subprocess.run(
-            [sys.executable, "-m", "balancedcover.cli", *map(str, argv)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert str(path) in proc.stderr
-        assert "Traceback" not in proc.stderr
+        rc, err = run_cli(argv)
+        assert rc == 2, err
+        assert str(path) in err
+        assert "Traceback" not in err

@@ -266,6 +266,20 @@ class TestReplicateProbes:
             replicate_probes(golden_instance, 0)
 
 
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda seed: gen_random(4, 3, 0.5, seed),
+        lambda seed: gen_x3c(6, 4, seed=seed),
+        lambda seed: gen_set_cover(5, 6, 3, 2, seed=seed),
+    ],
+    ids=["random", "x3c", "setcover"],
+)
+def test_negative_seed_is_input_error(generate):
+    with pytest.raises(InputError, match="seed -1"):
+        generate(-1)
+
+
 class TestGeneratorSpec:
     def test_describe_format(self):
         spec = GeneratorSpec(

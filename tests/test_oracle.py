@@ -358,3 +358,7 @@ class TestExcessEstimate:
         for bad in (1.2, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(InputError):
                 estimate_excess_expectation(np.array([0.5, bad]), 0.5, 100)
+
+    def test_negative_seed_is_input_error(self):
+        with pytest.raises(InputError, match="seed -1"):
+            estimate_excess_expectation(np.full(5, 0.5), 0.5, 100, seed=-1)
