@@ -12,8 +12,6 @@ system entropy and printed so the run can be reproduced.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import os
@@ -25,12 +23,14 @@ from .core import ObjectiveKind
 from .errors import BudgetExceededError, InputError, SolverError
 from .formats import (
     BENCH_COLUMNS,
+    SUMMARY_COLUMNS,
     check_writable,
     dump_result,
     names_path_for,
     read_matrix,
     read_text,
     result_record,
+    write_csv,
     write_matrix,
     write_text,
 )
@@ -177,21 +177,30 @@ def _ground_truth_comment(kind: GeneratorKind, truth: bool | None) -> str:
     return "ground-truth: size-s-cover-exists" if truth else "ground-truth: no-size-s-cover"
 
 
-# the flags each generator kind cannot do without (argparse dests)
-_GEN_REQUIRED = {
-    GeneratorKind.RANDOM: ("m", "n", "density"),
-    GeneratorKind.X3C: ("universe",),
-    GeneratorKind.SETCOVER: ("universe", "target_b"),
-    GeneratorKind.REPLICATE: ("input", "r"),
+# per generator kind: the flags it cannot do without, then the flags it may take (argparse dests)
+_GEN_FLAGS = {
+    GeneratorKind.RANDOM: (("m", "n", "density"), ("seed",)),
+    GeneratorKind.X3C: (("universe",), ("seed", "triples", "plant_cover")),
+    GeneratorKind.SETCOVER: (("universe", "target_b"), ("seed", "sets", "max_set_size")),
+    GeneratorKind.REPLICATE: (("input", "r"), ()),
 }
+_GEN_DESTS = tuple(dict.fromkeys(f for needs, takes in _GEN_FLAGS.values() for f in needs + takes))
+
+
+def _flag_names(dests) -> str:
+    return " ".join("--" + f.replace("_", "-") for f in dests)
 
 
 def cmd_gen(args) -> int:
     kind = GeneratorKind(args.kind)
-    missing = [f for f in _GEN_REQUIRED[kind] if getattr(args, f) is None]
+    needs, takes = _GEN_FLAGS[kind]
+    missing = [f for f in needs if getattr(args, f) is None]
     if missing:
-        flags = " ".join("--" + f.replace("_", "-") for f in missing)
-        raise _UsageError(f"--kind {kind.value} requires {flags}")
+        raise _UsageError(f"--kind {kind.value} requires {_flag_names(missing)}")
+    # a flag of another kind is an error once it differs from its default
+    stray = [f for f in _GEN_DESTS if f not in needs + takes and getattr(args, f) != args.gen_defaults[f]]
+    if stray:
+        raise _UsageError(f"--kind {kind.value} does not take {_flag_names(stray)}")
     seed = None if kind is GeneratorKind.REPLICATE else _resolve_seed(args.seed)
     red = None
     if kind is GeneratorKind.RANDOM:
@@ -307,6 +316,8 @@ def cmd_bench(args) -> int:
         check_writable(path)
 
     rows = []
+    # the rows of each (matrix, s, algorithm) cell, keyed by their first seven columns
+    cells: dict[tuple, list[tuple]] = {}
     for matrix_counter, ((m, n), dens) in enumerate(itertools.product(sizes, densities)):
         matrix_seed = _mix_seed(seed, matrix_counter)
         inst = gen_random(m, n, dens, matrix_seed)
@@ -325,6 +336,8 @@ def cmd_bench(args) -> int:
                 lp_sol = sweeps[ALGORITHM_FORMULATION[alg]][k]
                 kind = ALGORITHM_OBJECTIVE[alg]
                 lp_value = float(lp_sol.z_star)
+                key = (matrix_id, m, n, dens, s, kind.value, alg.value)
+                cell = cells.setdefault(key, [])
                 for trial in range(args.trials):
                     run_seed = _mix_seed(seed, matrix_counter, s, alg_index, trial)
                     config = RoundingConfig(algorithm=alg, seed=run_seed, restarts=1)
@@ -332,71 +345,22 @@ def cmd_bench(args) -> int:
                     report = solve_end_to_end(inst, s, config, lp_solution=lp_sol)
                     wall_ms = (time.perf_counter() - t0) * 1000.0
                     value = report.best.value(kind)
-                    rows.append(
-                        {
-                            "matrixId": matrix_id,
-                            "m": m,
-                            "n": n,
-                            "density": dens,
-                            "s": s,
-                            "objective": kind.value,
-                            "algorithm": alg.value,
-                            "trial": trial,
-                            "seed": run_seed,
-                            "lpValue": f"{lp_value:.10g}",
-                            "roundedValue": f"{value:.10g}",
-                            "ratio": f"{_ratio(lp_value, value, kind.maximize):.10g}",
-                            "wallTimeMs": f"{wall_ms:.3f}",
-                        }
-                    )
+                    ratio = _ratio(lp_value, value, kind.maximize)
+                    reported = tuple(f"{v:.10g}" for v in (lp_value, value, ratio))
+                    rows.append(key + (trial, run_seed, *reported, f"{wall_ms:.3f}"))
+                    cell.append(rows[-1])
 
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(BENCH_COLUMNS), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    write_text(args.out, buf.getvalue())
-
-    # aggregate: mean over trials per (matrix, s, algorithm) cell
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        groups.setdefault(
-            (row["matrixId"], row["m"], row["n"], row["density"], row["s"], row["objective"], row["algorithm"]),
-            [],
-        ).append(row)
-    sbuf = io.StringIO()
-    swriter = csv.writer(sbuf, lineterminator="\n")
-    swriter.writerow(
-        [
-            "matrixId",
-            "m",
-            "n",
-            "density",
-            "s",
-            "objective",
-            "algorithm",
-            "trials",
-            "lpValue",
-            "meanRoundedValue",
-            "meanRatio",
-            "bestRoundedValue",
-        ]
-    )
-    for key, bucket in groups.items():
-        values = [float(r["roundedValue"]) for r in bucket]
-        ratios = [float(r["ratio"]) for r in bucket]
-        maximize = ObjectiveKind(key[5]).maximize
-        best = max(values) if maximize else min(values)
-        swriter.writerow(
-            list(key[:7])
-            + [
-                len(bucket),
-                bucket[0]["lpValue"],
-                f"{sum(values) / len(values):.10g}",
-                f"{sum(ratios) / len(ratios):.10g}",
-                f"{best:.10g}",
-            ]
-        )
-    write_text(summary_path, sbuf.getvalue())
+    # the summary reads lpValue, roundedValue and ratio as the CSV reports them
+    lp_col, value_col, ratio_col = map(BENCH_COLUMNS.index, ("lpValue", "roundedValue", "ratio"))
+    summary = []
+    for key, cell in cells.items():
+        values = [float(row[value_col]) for row in cell]
+        ratios = [float(row[ratio_col]) for row in cell]
+        best = max(values) if ObjectiveKind(key[5]).maximize else min(values)
+        means = (f"{sum(values) / len(values):.10g}", f"{sum(ratios) / len(ratios):.10g}")
+        summary.append(key + (len(cell), cell[0][lp_col], *means, f"{best:.10g}"))
+    write_csv(args.out, BENCH_COLUMNS, rows)
+    write_csv(summary_path, SUMMARY_COLUMNS, summary)
     print(f"wrote {args.out} ({len(rows)} rows) and {summary_path}")
     return 0
 
@@ -449,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-b", type=int, default=None, help="cover size target b (setcover)")
     p.add_argument("--input", default=None, help="source matrix (replicate)")
     p.add_argument("--r", type=int, default=None, help="replication factor (replicate)")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, gen_defaults={f: p.get_default(f) for f in _GEN_DESTS})
 
     p = sub.add_parser("bench", help="sweep algorithms over generated matrices into CSV")
     p.add_argument(

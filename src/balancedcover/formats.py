@@ -1,4 +1,4 @@
-"""On-disk formats: the matrix file, its names sidecar, result records.
+"""On-disk formats: the matrix file, its names sidecar, result records, bench CSVs.
 
 Matrix file: optional '#' comment lines, then a header "m n", then m
 rows of n space-separated 0/1 entries.  Serializing a parsed file
@@ -14,7 +14,9 @@ selection found).
 
 from __future__ import annotations
 
+import csv
 import inspect
+import io
 import json
 from pathlib import Path
 
@@ -42,6 +44,8 @@ BENCH_COLUMNS = (
     "ratio",
     "wallTimeMs",
 )
+# one row per (matrix, s, algorithm) cell of the bench CSV
+SUMMARY_COLUMNS = BENCH_COLUMNS[:7] + ("trials", "lpValue", "meanRoundedValue", "meanRatio", "bestRoundedValue")
 
 
 def format_matrix(instance: Instance, comments: tuple[str, ...] = ()) -> str:
@@ -132,6 +136,15 @@ def write_text(path: str | Path, text: str) -> None:
         Path(path).write_text(text)
     except OSError as err:
         raise InputError(f"cannot write {path}: {err}") from err
+
+
+def write_csv(path: str | Path, columns: tuple[str, ...], rows) -> None:
+    """Write a header of columns, then one line per row tuple; a failed write is an InputError."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    write_text(path, buf.getvalue())
 
 
 def check_writable(path: str | Path) -> None:

@@ -42,11 +42,10 @@ class ExactResult:
 
     ``optimum_num / optimum_den`` is the optimum over subsets of size
     exactly s; ``witness`` is the lexicographically smallest optimal
-    subset.  For the maximization objectives (cmin/cavg) the fields
-    ``*_at_most`` additionally give the optimum when subsets of any
-    size up to s are allowed; for the deviation objectives that
-    relaxation is pointless (fewer clones only drift farther from s/2)
-    and the fields stay None.
+    subset.  The fields ``*_at_most`` give the optimum when subsets of
+    any size up to s are allowed, still scored against s.  That pass
+    runs by default only for the maximization objectives (cmin/cavg),
+    and for any objective on request; otherwise the fields stay None.
     """
 
     objective: ObjectiveKind

@@ -15,6 +15,7 @@ import golden
 import balancedcover
 from balancedcover import cli, lp
 from balancedcover.cli import main
+from balancedcover.core import ObjectiveKind
 from balancedcover.formats import format_matrix, names_path_for, parse_matrix, read_matrix, write_matrix
 from balancedcover.generators import gen_random
 from balancedcover.ingest import matches
@@ -385,6 +386,34 @@ class TestBench:
             "bestRoundedValue",
         ]
 
+    @pytest.mark.parametrize("algs", [["rcm", "rdm", "rca2"], ["rcm", "rcm"]], ids=["distinct", "repeated"])
+    def test_summary_recomputed_from_csv(self, tmp_path, capsys, algs):
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--size", "12x6", "--size", "10x5", "--density", "0.5", "--s-range", "2:8:3"]
+        argv += [flag for alg in algs for flag in ("--alg", alg)]
+        assert main([*argv, "--trials", "3", "--seed", "4", "--out", str(out)]) == 0
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        with out.with_name(out.name + ".summary").open() as fh:
+            summary = list(csv.DictReader(fh))
+        key_columns = ["matrixId", "m", "n", "density", "s", "objective", "algorithm"]
+        cells = {}
+        for row in rows:
+            cells.setdefault(tuple(row[c] for c in key_columns), []).append(row)
+        # one summary row per (matrix, s, algorithm) cell, in the order the cells first appear
+        assert [tuple(r[c] for c in key_columns) for r in summary] == list(cells)
+        assert len(summary) == 2 * 3 * len(set(algs))
+        for srow, cell in zip(summary, cells.values()):
+            # a repeated --alg merges into one cell
+            assert int(srow["trials"]) == len(cell) == 3 * algs.count(srow["algorithm"])
+            assert srow["lpValue"] == cell[0]["lpValue"]
+            values = [float(r["roundedValue"]) for r in cell]
+            ratios = [float(r["ratio"]) for r in cell]
+            best = max(values) if ObjectiveKind(srow["objective"]).maximize else min(values)
+            assert srow["meanRoundedValue"] == f"{sum(values) / len(values):.10g}"
+            assert srow["meanRatio"] == f"{sum(ratios) / len(ratios):.10g}"
+            assert srow["bestRoundedValue"] == f"{best:.10g}"
+
     def test_deterministic_modulo_wall_time(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -532,6 +561,30 @@ class TestBadFlagValues:
         rc, err = run_cli(["gen", *flags, "--seed", "-1", "--out", out])
         assert rc == 2, err
         assert "seed -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, stray",
+        [
+            (["--kind", "random", "--m", "4", "--n", "3", "--density", "0.5", "--universe", "6", "--triples", "9",
+              "--plant-cover", "--seed", "1"], ["--universe", "--triples", "--plant-cover"]),
+            (["--kind", "x3c", "--universe", "6", "--m", "50", "--seed", "1"], ["--m"]),
+            (["--kind", "setcover", "--universe", "5", "--target-b", "2", "--r", "2", "--max-set-size", "4",
+              "--seed", "1"], ["--r"]),
+            (["--kind", "replicate", "--input", "SOURCE", "--r", "2", "--seed", "5"], ["--seed"]),
+        ],
+        ids=["random", "x3c", "setcover", "replicate"],
+    )
+    def test_flag_of_another_kind_is_usage_error(self, tmp_path, flags, stray):
+        source = tmp_path / "source.matrix"
+        write_matrix(source, golden.instance())
+        out = tmp_path / "g.matrix"
+        rc, err = run_cli(["gen", *(source if f == "SOURCE" else f for f in flags), "--out", out])
+        assert rc == 1, err
+        assert all(flag in err for flag in stray), err
+        # a flag the kind takes, or one left at its default, is not named
+        assert "--max-set-size" not in err
         assert "Traceback" not in err
         assert not out.exists()
 
