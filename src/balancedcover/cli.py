@@ -307,9 +307,9 @@ def cmd_bench(args) -> int:
         raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     seed = _resolve_seed(args.seed)
     for m, n in sizes:
-        bad = [s for s in s_values if s > m]
+        bad = [s for s in s_values if not 1 <= s <= m]
         if bad:
-            raise InputError(f"s={bad[0]} exceeds m={m} for size {m}x{n}")
+            raise InputError(f"--s-range s={bad[0]} must lie in [1, {m}] for size {m}x{n}")
     summary_path = Path(str(args.out) + ".summary")
     # learn of an unwritable output before the sweep, not after it
     for path in (args.out, summary_path):

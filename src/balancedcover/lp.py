@@ -13,10 +13,13 @@ AVGLP is stored with raw objective sum_j z_j and a rational scale 1/n
 applied when reporting, so the constraint rows hold only integers and
 halves and the exact solver mode stays exact.
 
-MAXLP is built (for ``to_lp_text`` and as a reference for other solvers)
-but never solved: ``solve_formulation`` and ``solve_sweep`` read it off
-MinLP at the same s (``maxlp_from_minlp``).  So every LP the simplex
-solves has only ``<=`` rows and starts from the slack basis.
+``build_lp`` writes these textbook LPs (for ``to_lp_text`` and as a
+reference for other solvers), but ``solve_formulation`` and
+``solve_sweep`` solve only MinLP as written.  MAXLP is read off MinLP at
+the same s (``maxlp_from_minlp``).  AVGLP is solved as the equivalent
+least-absolute-deviation fit of n + 2 rows in place of 2n + 1
+(``_build_l1_avglp``).  So every LP the simplex solves has only ``<=``
+rows and starts from the slack basis.
 """
 
 from __future__ import annotations
@@ -151,21 +154,80 @@ def build_lp(instance: Instance, s: int, formulation: Formulation) -> LpProblem:
     )
 
 
-def _crash_start(problem: LpProblem) -> list[int]:
-    """The columns a solve of a ``build_lp`` MinLP or AvgLP starts at their upper bound 1.
+def _build_l1_avglp(instance: Instance, s: int, crash_s: int) -> LpProblem:
+    """AvgLP as it is solved: the least-absolute-deviation fit of every deg_j to s/2.
 
-    They are the s evenly spaced clones (i*m)//s.  With them at 1, every z
-    at 0 and every slack basic, each row holds with its slack at deg_j,
-    s - deg_j or 0, so the slack basis is primal feasible; at x = 0 every
-    z_j <= sum_i x_i - deg_j row would be tight, a degenerate start.
+    Both AvgLP margin terms are non-decreasing in every x_i, so AvgLP has
+    an optimum with sum(x) = s, where min(deg_j, s - deg_j) =
+    s/2 - |deg_j - s/2|; hence z*_AvgLP = s/2 - (1/n) min sum_j |deg_j - s/2|
+    over sum(x) = s, 0 <= x <= 1 (the L1 regression LP of Charnes, Cooper
+    and Ferguson, 1955).  Each probe's deviation splits as
+    sigma_j (deg_j - s/2) = t_j - k_j with t_j, k_j >= 0; k_j is column
+    m + j, and t_j is the slack of probe row j,
+    -sigma_j deg_j(x) - k_j <= -sigma_j s/2.  Row n is -sum(x) <= -s and
+    the last row sum(x) <= s, which ``_crash_start`` reads s off.
+
+    sigma_j is +1 where the crash clones at budget ``crash_s`` give
+    2 deg_j >= s, else -1, so at ``crash_s = s`` the slack start is primal
+    feasible.  Any sigma gives the same optimum, and a sweep keeps the
+    first s's, so that only the right-hand side moves between its LPs.
+
+    With sum(x) = s the objective s/2 - |deg_j - s/2| = s/2 - t_j - k_j of
+    probe j reads s - deg_j - 2 k_j where sigma_j = +1 and deg_j - 2 k_j
+    where sigma_j = -1: clone i costs the probes where it adds to that
+    side (a miss where sigma_j = +1, a hit where sigma_j = -1), each k_j
+    costs -2, and the scale 1/n makes the optimum AvgLP's.
     """
-    m = problem.num_selection_vars
-    s = int(problem.rhs[-1])
+    s = _check_budget(instance, s)
+    a = instance.adjacency.astype(float)
+    m, n = a.shape
+    sigma = np.where(2 * a[_crash_clones(m, crash_s)].sum(axis=0) >= crash_s, 1.0, -1.0)
+    A = np.zeros((n + 2, m + n))
+    A[:n, :m] = -sigma[:, None] * a.T
+    A[np.arange(n), m + np.arange(n)] = -1.0
+    A[n, :m] = -1.0
+    A[n + 1, :m] = 1.0
+    c = np.concatenate([np.where(sigma > 0, 1.0 - a, a).sum(axis=1), np.full(n, -2.0)])
+    return LpProblem(
+        formulation=Formulation.AVGLP,
+        maximize=True,
+        c=c,
+        A=A,
+        relations=("<=",) * (n + 2),
+        rhs=np.concatenate([-sigma * (s / 2.0), [-float(s), float(s)]]),
+        lower=np.zeros(m + n),
+        upper=np.concatenate([np.ones(m), np.full(n, np.inf)]),
+        var_names=tuple(f"x{i + 1}" for i in range(m)) + tuple(f"k{j + 1}" for j in range(n)),
+        num_selection_vars=m,
+        objective_scale=(1, n),
+        label=f"{Formulation.AVGLP.value}(m={m}, n={n}, s={s})",
+    )
+
+
+def _crash_clones(m: int, s: int) -> list[int]:
+    """The s evenly spaced clones (i*m)//s."""
     return [i * m // s for i in range(s)]
 
 
+def _crash_start(problem: LpProblem) -> list[int]:
+    """The columns a solve of a MinLP or an L1 AvgLP starts at their upper bound 1.
+
+    They are the ``_crash_clones`` at the budget s of the last row.  With
+    them at 1, every other column at 0 and every slack basic, each MinLP
+    row holds with its slack at deg_j, s - deg_j or 0, and each L1 AvgLP
+    probe row with its slack at |deg_j - s/2|, so the slack basis is
+    primal feasible; at x = 0 every z_j <= sum_i x_i - deg_j row would be
+    tight, a degenerate start.
+    """
+    return _crash_clones(problem.num_selection_vars, int(problem.rhs[-1]))
+
+
 def solve_lp(problem: LpProblem, *, exact: bool = False, start: SimplexResult | None = None) -> FractionalSolution:
-    """Solve a built MinLP or AvgLP and report the scaled optimum and x* slice.
+    """Solve an LP of ``<=`` rows and report the scaled optimum and x* slice.
+
+    ``solve_formulation`` and ``solve_sweep`` pass a built MinLP or the L1
+    AvgLP (``_build_l1_avglp``); a textbook AvgLP from ``build_lp`` solves
+    to the same optimum.
 
     Repeated calls on an equal problem return bit-identical results:
     the solver's pivot rules are deterministic and depend only on the
@@ -178,8 +240,7 @@ def solve_lp(problem: LpProblem, *, exact: bool = False, start: SimplexResult | 
     the simplex runs dual pivots from that solve's optimal basis, then
     primal ones.  The optimum is the same either way; x* may be another
     optimal vertex.  A problem with a row other than ``<=`` (a built MaxLP)
-    is refused; ``solve_formulation`` and ``solve_sweep`` read MaxLP off
-    MinLP.
+    is refused.
 
     The returned x* is certified: a constraint or bound violated by more
     than 1e-7 * max(1, max |rhs|) raises SolverError naming the LP and the
@@ -250,21 +311,29 @@ def solve_sweep(instance: Instance, s_values, formulation: Formulation) -> list[
     """Solve one relaxation at every s in ``s_values``, in order, in float mode.
 
     The first s starts from the crash basis.  s enters the LP only through
-    the right-hand side, so each solve after it starts from the previous
+    the right-hand side (an AvgLP sweep keeps the first s's signs, see
+    ``_build_l1_avglp``), so each solve after it starts from the previous
     optimal basis (``solve_lp``'s ``start``).  Each z* equals a standalone
     ``solve_formulation`` up to float rounding and passes the same residual
     certificate; x* may be another optimal vertex, which depends on the s
     values solved before it.  A MaxLP sweep is read off the MinLP sweep.
     """
+    s_values = list(s_values)
     if formulation is Formulation.MAXLP:
-        s_values = list(s_values)
         minlp = solve_sweep(instance, s_values, Formulation.MINLP)
         return [maxlp_from_minlp(sol, s) for s, sol in zip(s_values, minlp)]
     solutions: list[FractionalSolution] = []
     for s in s_values:
         start = solutions[-1].stats if solutions else None
-        solutions.append(solve_lp(build_lp(instance, s, formulation), start=start))
+        solutions.append(solve_lp(_solved_lp(instance, s, formulation, s_values[0]), start=start))
     return solutions
+
+
+def _solved_lp(instance: Instance, s: int, formulation: Formulation, crash_s: int) -> LpProblem:
+    """The LP solved for a MinLP or AvgLP at s: MinLP as built, AvgLP as the L1 fit."""
+    if formulation is Formulation.AVGLP:
+        return _build_l1_avglp(instance, s, crash_s)
+    return build_lp(instance, s, formulation)
 
 
 def solve_formulation(
@@ -274,10 +343,14 @@ def solve_formulation(
     *,
     exact: bool = False,
 ) -> FractionalSolution:
-    """Solve one relaxation at budget s; MaxLP is read off MinLP (``maxlp_from_minlp``)."""
+    """Solve one relaxation at budget s.
+
+    MaxLP is read off MinLP (``maxlp_from_minlp``), and AvgLP is solved as
+    the L1 fit (``_build_l1_avglp``).
+    """
     if formulation is Formulation.MAXLP:
         return maxlp_from_minlp(solve_formulation(instance, s, Formulation.MINLP, exact=exact), s)
-    return solve_lp(build_lp(instance, s, formulation), exact=exact)
+    return solve_lp(_solved_lp(instance, s, formulation, s), exact=exact)
 
 
 def _term(coef: float, name: str) -> str:

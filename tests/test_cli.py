@@ -464,6 +464,17 @@ class TestBench:
         )
         assert rc == 2
 
+    # s = 6 fits the first size, 6x4, and not the second, 5x3
+    @pytest.mark.parametrize("s_range, bad, size", [("0:2", 0, "6x4"), ("4:6:2", 6, "5x3")])
+    def test_s_outside_one_to_m_refused_before_any_matrix(self, tmp_path, capsys, monkeypatch, s_range, bad, size):
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("a matrix was generated before the budgets were checked")
+
+        monkeypatch.setattr(cli, "gen_random", no_matrix)
+        argv = ["bench", "--size", "6x4", "--size", "5x3", "--density", "0.5", "--s-range", s_range]
+        assert main([*argv, "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"--s-range s={bad} must lie in [1, {size[0]}] for size {size}" in capsys.readouterr().err
+
     def test_sweep_rows_match_cold_solves_and_derived_seeds(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         argv = ["bench", "--size", "30x8", "--density", "0.5", "--s-range", "1:30"]

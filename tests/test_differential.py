@@ -14,7 +14,9 @@ The same inputs check the warm-started sweep over s against standalone
 (crash-started) solves and HiGHS, and small slices of them check the
 exact Fraction mode.  HiGHS solves the textbook MaxLP that ``build_lp``
 writes, with its `>=` and `=` rows, while the package reads MaxLP off
-MinLP; its x* and z* must also meet the textbook rows.
+MinLP; its x* and z* must also meet the textbook rows.  HiGHS also
+solves the textbook AvgLP, while the package solves AvgLP as an L1 fit
+of n + 2 rows; in exact mode its x* must be an optimal textbook point.
 """
 
 from fractions import Fraction
@@ -22,7 +24,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from balancedcover import Formulation, Instance, build_lp, gen_random, solve_formulation, solve_sweep
+from balancedcover import (
+    Formulation,
+    Instance,
+    build_lp,
+    gen_random,
+    solve_formulation,
+    solve_lp,
+    solve_sweep,
+)
 from balancedcover.generators import gen_set_cover, gen_x3c, replicate_probes
 from balancedcover.ingest import reverse_complement
 
@@ -46,11 +56,11 @@ def clone_family(seed, clones=400, templates=40, length=1500, mutations=15, prob
     return Instance(np.array(a, dtype=np.int8))
 
 
-def row_violation(problem, sol):
-    """Largest violation of ``problem``'s rows and bounds at (x*, z*); exact for Fractions."""
-    point = np.append(sol.x, sol.z_star)
+def row_violation(problem, x, z):
+    """Largest violation of ``problem``'s rows and bounds at (x, z); exact for Fractions."""
+    point = np.append(x, z)
     A, rhs = problem.A, problem.rhs
-    if isinstance(sol.z_star, Fraction):
+    if point.dtype == object:
         A, rhs = (np.vectorize(Fraction, otypes=[object])(v) for v in (A, rhs))
     lhs = A.dot(point) - rhs
     rel = np.array(problem.relations)
@@ -121,8 +131,8 @@ def test_float_simplex_agrees_with_highs(case):
                     f"iterations, residual_bound {stats.residual_bound:.3g}"
                 )
             # MaxLP is read off MinLP: (x*, z*) must meet the textbook rows HiGHS solved, sum x = s among them
-            if formulation is Formulation.MAXLP and row_violation(problem, sol) > 1e-9:
-                wrong.append(f"{problem.label}: textbook row violation {row_violation(problem, sol):.3g}")
+            if formulation is Formulation.MAXLP and (gap := row_violation(problem, sol.x, sol.z_star)) > 1e-9:
+                wrong.append(f"{problem.label}: textbook row violation {gap:.3g}")
     assert not wrong, "\n".join(wrong)
 
 
@@ -155,8 +165,8 @@ def test_warm_sweep_agrees_with_cold_and_highs(case):
                     f"residual_bound {sol.stats.residual_bound:.3g}"
                 )
             # the MinLP sweep's x* often sums to less than s here, so MaxLP's x* is raised
-            if formulation is Formulation.MAXLP and row_violation(problem, sol) > 1e-9:
-                wrong.append(f"{problem.label}: sweep textbook row violation {row_violation(problem, sol):.3g}")
+            if formulation is Formulation.MAXLP and (gap := row_violation(problem, sol.x, sol.z_star)) > 1e-9:
+                wrong.append(f"{problem.label}: sweep textbook row violation {gap:.3g}")
     assert not wrong, "\n".join(wrong)
 
 
@@ -196,5 +206,21 @@ def test_exact_minlp_and_maxlp_sum_to_half_the_budget(case):
         minlp = solve_formulation(instance, s, Formulation.MINLP, exact=True)
         maxlp = solve_formulation(instance, s, Formulation.MAXLP, exact=True)
         assert minlp.z_star + maxlp.z_star == Fraction(s, 2)
-        assert row_violation(build_lp(instance, s, Formulation.MAXLP), maxlp) <= 0
+        assert row_violation(build_lp(instance, s, Formulation.MAXLP), maxlp.x, maxlp.z_star) <= 0
         assert sum(maxlp.x) == s
+
+
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+def test_exact_l1_avglp_is_the_textbook_avglp(case):
+    instance = EXACT_CASES[case]()
+    m, n = instance.num_clones, instance.num_probes
+    for s in (1, m // 2, m):
+        problem = build_lp(instance, s, Formulation.AVGLP)
+        avglp = solve_formulation(instance, s, Formulation.AVGLP, exact=True)
+        assert avglp.z_star == solve_lp(problem, exact=True).z_star
+        # x* with its textbook margins z_j = min(deg_j, s - deg_j) is an optimal textbook point
+        deg = instance.adjacency.T.dot(avglp.x)
+        z = np.array([min(d, s - d) for d in deg], dtype=object)
+        assert row_violation(problem, avglp.x, z) <= 0
+        assert sum(z) / n == avglp.z_star
+        assert sum(avglp.x) == s

@@ -166,14 +166,15 @@ class TestGoldenValues:
 
     # (formulation, s) -> (z*, iterations, basis) of the exact solve, which starts from the slack
     # basis with the crash clones at 1; any change to the engine that moves exact mode's pivot
-    # sequence shows here.  MaxLP is no LP of its own: it is read off the MinLP solve at the same s
+    # sequence shows here.  MaxLP is no LP of its own: it is read off the MinLP solve at the same s.
+    # AvgLP is solved as the L1 fit: columns 0-7 are x, 8-14 the k_j and 15-23 the slacks of its 9 rows
     EXACT_PIVOT_PATH = {
         (Formulation.MINLP, 3): (Fraction(7, 5), 8, (9, 8, 11, 4, 2, 14, 1, 16, 17, 18, 7, 20, 21, 22, 6)),
         (Formulation.MINLP, 6): (Fraction(2), 3, (9, 8, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 0)),
         (Formulation.MAXLP, 3): READ_OFF_MINLP,
         (Formulation.MAXLP, 6): READ_OFF_MINLP,
-        (Formulation.AVGLP, 3): (Fraction(41, 28), 18, (1, 8, 9, 4, 10, 15, 11, 0, 12, 24, 13, 26, 14, 17, 6)),
-        (Formulation.AVGLP, 6): (Fraction(20, 7), 12, (15, 8, 9, 18, 10, 2, 11, 1, 12, 24, 13, 26, 14, 28, 7)),
+        (Formulation.AVGLP, 3): (Fraction(41, 28), 9, (15, 4, 2, 6, 19, 7, 9, 22, 1)),
+        (Formulation.AVGLP, 6): (Fraction(20, 7), 4, (15, 16, 5, 18, 19, 7, 21, 22, 0)),
     }
 
     @pytest.mark.parametrize("form, s", list(EXACT_PIVOT_PATH), ids=lambda v: getattr(v, "value", v))
@@ -192,8 +193,8 @@ class TestGoldenValues:
         (Formulation.MINLP, 6): (2.0, 3, 0, (9, 8, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 0), (1, 2, 3, 4, 5, 6)),
         (Formulation.MAXLP, 3): READ_OFF_MINLP,
         (Formulation.MAXLP, 6): READ_OFF_MINLP,
-        (Formulation.AVGLP, 3): (41 / 28, 16, 0, (2, 8, 9, 4, 10, 1, 11, 7, 12, 24, 13, 15, 14, 17, 6), (3, 5)),
-        (Formulation.AVGLP, 6): (20 / 7, 11, 0, (15, 8, 9, 18, 10, 7, 11, 1, 12, 24, 13, 26, 14, 28, 0), (2, 3, 4, 5, 6)),
+        (Formulation.AVGLP, 3): (41 / 28, 9, 0, (2, 4, 15, 1, 19, 7, 9, 22, 6), (3, 5)),
+        (Formulation.AVGLP, 6): (20 / 7, 4, 0, (15, 16, 5, 18, 19, 7, 21, 22, 0), (1, 2, 3, 4, 6)),
     }
 
     @pytest.mark.parametrize("form, s", list(FLOAT_PIVOT_PATH), ids=lambda v: getattr(v, "value", v))
@@ -217,11 +218,11 @@ class TestGoldenValues:
         ],
         Formulation.MAXLP: READ_OFF_MINLP,
         Formulation.AVGLP: [
-            (1.0, 12, 0, (0, 8, 4, 9, 10, 1, 11, 5, 12, 24, 13, 26, 14, 28, 3), ()),
-            (41 / 28, 3, 3, (0, 8, 4, 9, 10, 1, 11, 17, 12, 24, 13, 26, 14, 15, 6), (3, 5)),
-            (27 / 14, 0, 0, (0, 8, 4, 9, 10, 1, 11, 17, 12, 24, 13, 26, 14, 15, 6), (3, 5)),
-            (67 / 28, 0, 0, (0, 8, 4, 9, 10, 1, 11, 17, 12, 24, 13, 26, 14, 15, 6), (3, 5)),
-            (20 / 7, 0, 0, (0, 8, 4, 9, 10, 1, 11, 17, 12, 24, 13, 26, 14, 15, 6), (3, 5)),
+            (1.0, 6, 0, (15, 4, 3, 5, 19, 7, 21, 22, 1), ()),
+            (41 / 28, 2, 2, (15, 4, 6, 2, 19, 7, 21, 22, 1), (3, 5)),
+            (27 / 14, 0, 0, (15, 4, 6, 2, 19, 7, 21, 22, 1), (3, 5)),
+            (67 / 28, 0, 0, (15, 4, 6, 2, 19, 7, 21, 22, 1), (3, 5)),
+            (20 / 7, 0, 0, (15, 4, 6, 2, 19, 7, 21, 22, 1), (3, 5)),
         ],
     }
 
@@ -405,6 +406,51 @@ class TestColumnDuplication:
             original = solve_formulation(golden_instance, 6, form, exact=True)
             dup = solve_formulation(doubled, 6, form, exact=True)
             assert original.z_star == dup.z_star
+
+
+class TestL1AvgLp:
+    """The (n+2)-row L1 fit that solve_formulation and solve_sweep solve for AvgLP."""
+
+    # probes: all-zero, all-one, two whose crash degree is s/2 at s = 2, 4 and 6, and one whose
+    # crash degree sits below s/2 at s = 1 and s = 2
+    EDGE = np.array(
+        [[0, 1, 1, 1, 0], [0, 1, 0, 1, 1], [0, 1, 1, 0, 1], [0, 1, 0, 0, 0], [0, 1, 1, 0, 1], [0, 1, 0, 1, 1]],
+        dtype=np.int8,
+    )
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_slack_start_is_feasible_and_the_optimum_is_avglps(self, s):
+        inst = Instance(self.EDGE)
+        m, n = self.EDGE.shape
+        problem = lp_module._build_l1_avglp(inst, s, s)
+        assert (problem.num_rows, problem.num_vars) == (n + 2, m + n)
+        crash = lp_module._crash_start(problem)
+        start = np.zeros(m + n)
+        start[crash] = 1.0
+        slack = problem.rhs - problem.A.dot(start)
+        # the probe rows' slacks are |deg_j - s/2| of the crash clones; the two budget rows' are 0
+        deg = self.EDGE[crash].sum(axis=0)
+        assert slack.tolist() == [*np.abs(deg - s / 2), 0.0, 0.0]
+        # the ties 2 deg_j = s that the probes were chosen for
+        assert (2 * deg == s).any() == (s in (2, 4, 6))
+        textbook = build_lp(inst, s, Formulation.AVGLP)
+        exact = solve_formulation(inst, s, Formulation.AVGLP, exact=True)
+        flt = solve_formulation(inst, s, Formulation.AVGLP)
+        assert exact.stats.dual_iterations == flt.stats.dual_iterations == 0
+        assert exact.z_star == solve_lp(textbook, exact=True).z_star
+        assert flt.z_star == pytest.approx(solve_lp(textbook).z_star, abs=1e-12)
+        assert sum(exact.x) == s
+
+    def test_a_sweep_keeps_the_first_budgets_signs(self):
+        inst = Instance(self.EDGE)
+        first = lp_module._build_l1_avglp(inst, 1, 1)
+        later = lp_module._build_l1_avglp(inst, 5, 1)
+        # only the right-hand side moves, so a warm start sees the same A and c
+        assert np.array_equal(first.A, later.A) and np.array_equal(first.c, later.c)
+        assert not np.array_equal(first.A, lp_module._build_l1_avglp(inst, 5, 5).A)
+        for s, sol in zip([1, 5], solve_sweep(inst, [1, 5], Formulation.AVGLP)):
+            textbook = solve_lp(build_lp(inst, s, Formulation.AVGLP))
+            assert sol.z_star == pytest.approx(textbook.z_star, abs=1e-12)
 
 
 class TestLpText:
