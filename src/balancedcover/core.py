@@ -183,12 +183,14 @@ def objective_scores(deg: np.ndarray, s: int, kind: ObjectiveKind) -> np.ndarray
 
     The scores follow the stored conventions: cmin, cavg_num, dmax_x2
     and davg_num_x2.  Divide by ``objective_denominator`` for the value.
+    The cavg/davg sums accumulate in int64, so narrower degree arrays
+    cannot wrap.
     """
     if kind.maximize:
         low = np.minimum(deg, s - deg)
-        return low.min(axis=-1) if kind is ObjectiveKind.CMIN else low.sum(axis=-1)
+        return low.min(axis=-1) if kind is ObjectiveKind.CMIN else low.sum(axis=-1, dtype=np.int64)
     dev = np.abs(2 * deg - s)
-    return dev.max(axis=-1) if kind is ObjectiveKind.DMAX else dev.sum(axis=-1)
+    return dev.max(axis=-1) if kind is ObjectiveKind.DMAX else dev.sum(axis=-1, dtype=np.int64)
 
 
 def _normalize_selection(instance: Instance, selected: Iterable[int]) -> tuple[int, ...]:

@@ -1,12 +1,17 @@
 """Exact references for small instances, plus a Monte-Carlo tail estimator.
 
 Exhaustive enumeration over clone subsets runs through one scan by head
-and tail.  A size-k subset is a head of its first k - t clones and a
-tail of its last t, with t <= k the largest size whose table of all
-t-subsets, with their index rows and degree sums, fits in
-``_MAX_TAIL_ROWS`` rows.  The tails that may follow a head are a suffix
-of that table, so each head yields one block of degree vectors from a
-single array addition; no subset is ever a Python tuple.  The optimum,
+and tail over one table per call.  The table holds, level by level,
+only the int32 degree sums of the j-subsets for j = 0..t, in
+lexicographic order.  A size-k subset with k > t is a head of its
+first k - t clones and a tail of its last t; the tails that may follow
+a head are a suffix of level t, so each head yields one block of degree
+vectors from a single array addition, and a size k <= t is level k read
+as one block.  The at-most-s pass builds every level whole and reads
+all sizes up to s from that one table; an exact-size scan builds only
+what level t needs.  No subset is ever a Python tuple until a strict
+improvement rebuilds its witness from the block's head and row number
+(``_unrank``, the combinatorial number system).  The optimum,
 all-objectives and decision oracles all consume that scan;
 ``exact_all_objectives`` scores every objective on each block's
 degrees, so it enumerates once.  Enumeration is lexicographic and
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -79,53 +85,89 @@ def _check_enumeration(m: int, s: int, budget: int) -> int:
     return count
 
 
-def _tail_table(a: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index rows and degree sums of all t-subsets of ``range(m)``, in lexicographic order.
+def _table(instance: Instance, s: int, full: bool) -> list[np.ndarray]:
+    """Degree sums of the j-subsets for j = 0..t, one int32 array per level, in lexicographic order.
 
-    Level j holds the j-subsets of ``range(t - j, m)``: each first clone
-    i joined to every (j - 1)-subset of ``range(i + 1, m)``, which are
-    the last C(m - 1 - i, j - 1) rows of level j - 1.  No level is
-    longer than the last, C(m, t) rows.
+    Level j holds the j-subsets of ``range(low, m)``: each first clone i
+    joined to every (j - 1)-subset of ``range(i + 1, m)``, which are the
+    last C(m - 1 - i, j - 1) rows of level j - 1.  A full table (the
+    at-most pass reads every level whole) starts each level at low = 0,
+    and t is the largest size up to s with no level over
+    ``_MAX_TAIL_ROWS`` rows.  Otherwise only level t is read: low = t - j,
+    the lowest first clone a t-subset's last j clones can have, so the
+    table holds C(m + 1, t) rows, and t is the largest size up to s
+    whose level alone fits.  Level t starts at clone 0 either way.
     """
+    a = instance.adjacency
     m, n = a.shape
-    idx = np.empty((1, 0), dtype=np.intp)
-    deg = np.zeros((1, n), dtype=np.int64)
+    fits = [math.comb(m, j) <= _MAX_TAIL_ROWS for j in range(s + 1)]
+    if full:
+        fits = list(itertools.accumulate(fits, operator.and_))
+    t = max(j for j, ok in enumerate(fits) if ok)
+    levels = [np.zeros((1, n), dtype=np.int32)]
     for j in range(1, t + 1):
-        first = range(t - j, m - j + 1)
-        counts = [math.comb(m - 1 - i, j - 1) for i in first]
-        rest = np.concatenate([idx[-c:] for c in counts])
-        idx = np.column_stack((np.repeat(first, counts), rest))
-        deg = np.concatenate([a[i] + deg[-c:] for i, c in zip(first, counts)])
-    return idx, deg
+        low = 0 if full else t - j
+        prev, rows = levels[-1], 0
+        level = np.empty((math.comb(m - low, j), n), dtype=np.int32)
+        for i in range(low, m - j + 1):
+            count = math.comb(m - 1 - i, j - 1)
+            np.add(a[i], prev[-count:], out=level[rows : rows + count])
+            rows += count
+        levels.append(level)
+    return levels
 
 
-def _scan(instance: Instance, k: int):
-    """Yield (head, tails, deg) per head block of the size-k subsets, in lexicographic order.
+def _unrank(rank: int, k: int, m: int) -> tuple[int, ...]:
+    """The k-subset of ``range(m)`` at position ``rank`` in lexicographic order.
 
-    ``head`` is a tuple of the first k - t clones, ``tails`` the (rows, t)
-    index array of every t-subset after it and ``deg`` the matching
-    (rows, n) degree vectors; k = 0 yields the empty subset.
+    C(m - 1 - i, j - 1) subsets put clone i next when j clones remain to
+    be chosen, so whole runs of them are skipped until the rank falls
+    inside one (the combinatorial number system).
     """
-    a = instance.adjacency.astype(np.int64)
-    m = instance.num_clones
-    t = max(j for j in range(k + 1) if math.comb(m, j) <= _MAX_TAIL_ROWS)
-    tails, tail_deg = _tail_table(a, t)
+    subset, i = [], 0
+    for j in range(k, 0, -1):
+        while (count := math.comb(m - 1 - i, j - 1)) <= rank:
+            rank -= count
+            i += 1
+        subset.append(i)
+        i += 1
+    return tuple(subset)
+
+
+def _scan(instance: Instance, levels: list[np.ndarray], k: int):
+    """Yield (head, row, deg) per block of the size-k subsets, in lexicographic order.
+
+    With t = len(levels) - 1, a size k <= t is one block, level k whole
+    with head (); the caller reads k < t only from a full table.  For
+    k > t, ``head`` is a tuple of the first k - t clones and ``deg`` the
+    degree sums of the head joined to every t-subset after it, which
+    are level t from row ``row`` on.  Position p of a block is the subset
+    ``head + _unrank(row + p, min(k, t), m)``.
+    """
+    t = len(levels) - 1
+    if k <= t:
+        yield (), 0, levels[k]
+        return
+    a, m, tails = instance.adjacency, instance.num_clones, levels[t]
     for head in itertools.combinations(range(m - t), k - t):
-        # the t-subsets of range(p, m) are the last C(m - p, t) rows of the table
-        off = len(tails) - math.comb(m - 1 - head[-1], t) if head else 0
-        yield head, tails[off:], a[list(head)].sum(axis=0) + tail_deg[off:]
+        # the t-subsets of range(p, m) are the last C(m - p, t) rows of level t
+        row = len(tails) - math.comb(m - 1 - head[-1], t)
+        yield head, row, a[list(head)].sum(axis=0, dtype=np.int32) + tails[row:]
 
 
-def _best(instance: Instance, k: int, s: int, kinds) -> list[tuple[int, tuple[int, ...]]]:
+def _best(
+    instance: Instance, levels: list[np.ndarray], k: int, s: int, kinds
+) -> list[tuple[int, tuple[int, ...]]]:
     """Best (score, witness) per kind over subsets of size exactly k; lex-first wins."""
+    tail = min(k, len(levels) - 1)
     best = [(None, None)] * len(kinds)
-    for head, tails, deg in _scan(instance, k):
+    for head, row, deg in _scan(instance, levels, k):
         for i, kind in enumerate(kinds):
             scores = objective_scores(deg, s, kind)
             pos = int(np.argmax(scores) if kind.maximize else np.argmin(scores))
             cand, score = int(scores[pos]), best[i][0]
             if score is None or (cand > score if kind.maximize else cand < score):
-                best[i] = (cand, head + tuple(tails[pos].tolist()))
+                best[i] = (cand, head + _unrank(row + pos, tail, instance.num_clones))
     return best
 
 
@@ -154,7 +196,8 @@ def exact_optimum(
             f"enumerating all subsets of size <= {s} means {total} subsets, over the budget of {budget}",
             count=total,
         )
-    [(score, witness)] = _best(instance, s, s, [objective])
+    levels = _table(instance, s, include_at_most)
+    [(score, witness)] = _best(instance, levels, s, s, [objective])
     result = ExactResult(
         objective=objective,
         s=s,
@@ -169,7 +212,7 @@ def exact_optimum(
     # (a proper prefix counts as smaller)
     sign = -1 if objective.maximize else 1
     best_score, best_witness = min(
-        [(score, witness)] + [_best(instance, k, s, [objective])[0] for k in range(s)],
+        [(score, witness)] + [_best(instance, levels, k, s, [objective])[0] for k in range(s)],
         key=lambda pair: (sign * pair[0], pair[1]),
     )
     return replace(
@@ -201,7 +244,7 @@ def exact_all_objectives(
             witness=witness,
             enumerated=count,
         )
-        for kind, (score, witness) in zip(kinds, _best(instance, s, s, kinds))
+        for kind, (score, witness) in zip(kinds, _best(instance, _table(instance, s, False), s, s, kinds))
     }
 
 
@@ -214,7 +257,10 @@ def perfect_balance_exists(instance: Instance, s: int, *, budget: int = DEFAULT_
     if s % 2 != 0:
         raise InputError(f"perfect balance needs an even s, got {s}")
     _check_enumeration(instance.num_clones, s, budget)
-    return any(bool((deg == s // 2).all(axis=1).any()) for _, _, deg in _scan(instance, s))
+    return any(
+        bool((deg == s // 2).all(axis=1).any())
+        for _, _, deg in _scan(instance, _table(instance, s, False), s)
+    )
 
 
 def size_s_cover_exists(instance: Instance, s: int, *, budget: int = DEFAULT_BUDGET) -> bool:
@@ -222,7 +268,8 @@ def size_s_cover_exists(instance: Instance, s: int, *, budget: int = DEFAULT_BUD
     s = _check_budget(instance, s)
     _check_enumeration(instance.num_clones, s, budget)
     return any(
-        bool(((deg >= 1) & (deg <= s - 1)).all(axis=1).any()) for _, _, deg in _scan(instance, s)
+        bool(((deg >= 1) & (deg <= s - 1)).all(axis=1).any())
+        for _, _, deg in _scan(instance, _table(instance, s, False), s)
     )
 
 

@@ -217,6 +217,22 @@ class TestOracle:
         assert payload["optimum"] == pytest.approx(1 / 7)
         assert "optimumAtMostS" not in payload
 
+    def test_payloads_pinned(self, tmp_path, capsys):
+        # Every objective at s = 9 on three seeded 18x10 matrices, keyed
+        # "density/seed/objective"; the payloads were recorded from the
+        # enumeration that built one table per size, and the printed JSON
+        # must match them byte for byte.  On the density-0.8 matrix the
+        # at-most witnesses have 5 clones.
+        expected = json.loads((Path(__file__).parent / "oracle_golden.json").read_text())
+        assert len(expected) == 12
+        for key, payload in expected.items():
+            density, seed, objective = key.split("/")
+            path = tmp_path / f"m{seed}.matrix"
+            write_matrix(path, gen_random(18, 10, float(density), int(seed)))
+            assert main(["oracle", str(path), "--s", "9", "--objective", objective]) == 0
+            assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+            assert ("enumeratedAtMostS" in payload) == ObjectiveKind(objective).maximize
+
     def test_budget_refusal_exit_code(self, golden_matrix, capsys):
         rc = main(["oracle", str(golden_matrix), "--s", "6", "--objective", "cmin", "--budget", "3"])
         assert rc == 3

@@ -168,12 +168,14 @@ class TestExactOptimum:
         assert res.optimum == 0
 
     def test_refusals_enumerate_nothing(self, monkeypatch):
-        # Every budget is checked before the first chunk: with a scan
-        # that fails when started, each refusal must still come back.
-        def no_scan(*args):
+        # Every budget is checked before the table is built: with a table
+        # builder and a scan that fail when started, each refusal must
+        # still come back.
+        def no_work(*args):
             raise AssertionError("enumeration started before the budget check")
 
-        monkeypatch.setattr(oracle, "_scan", no_scan)
+        monkeypatch.setattr(oracle, "_table", no_work)
+        monkeypatch.setattr(oracle, "_scan", no_work)
         inst = Instance(np.ones((25, 2), dtype=np.int8))
         with pytest.raises(BudgetExceededError) as err:
             exact_optimum(inst, 12, ObjectiveKind.CMIN)
@@ -188,7 +190,8 @@ class TestExactOptimum:
         # the second matrix the cavg/davg optima lie past the first block,
         # so the strict-improvement rule across blocks picks them.
         subsets = np.array(list(combinations(range(18), 9)))
-        blocks = [len(tails) for _, tails, _ in oracle._scan(gen_random(18, 10, 0.2, 7), 9)]
+        inst = gen_random(18, 10, 0.2, 7)
+        blocks = [len(deg) for _, _, deg in oracle._scan(inst, oracle._table(inst, 9, False), 9)]
         late = exact_all_objectives(gen_random(18, 10, 0.2, 7), 9)
         assert len(blocks) > 1 and all(
             subsets.tolist().index(list(late[kind].witness)) >= blocks[0]
@@ -259,20 +262,88 @@ class TestDecisionOracles:
 
 
 class TestHeadTailScan:
+    def test_unranking_matches_combinations(self):
+        # Every position of every size, and the suffix that holds the
+        # subsets of range(low, m) for every lowest first clone low.
+        for m in range(13):
+            for k in range(m + 1):
+                ranked = [oracle._unrank(r, k, m) for r in range(math.comb(m, k))]
+                assert ranked == list(combinations(range(m), k))
+                for low in range(m - k + 1):
+                    first = math.comb(m, k) - math.comb(m - low, k)
+                    assert ranked[first:] == list(combinations(range(low, m), k))
+
+    def test_table_levels_match_combinations(self):
+        # Level j of a table for t holds the int32 degree sums of the
+        # j-subsets of range(low, m), low = 0 (full) or t - j, in
+        # lexicographic order; a table that is not full has C(m + 1, t) rows.
+        rng = np.random.default_rng(1618)
+        for m in range(1, 13):
+            a = (rng.random((m, 3)) < 0.5).astype(np.int8)
+            for t in range(m + 1):
+                for full in (True, False):
+                    levels = oracle._table(Instance(a), t, full)
+                    assert len(levels) == t + 1
+                    for j, level in enumerate(levels):
+                        low = 0 if full else t - j
+                        subsets = list(combinations(range(low, m), j))
+                        index = np.array(subsets, dtype=np.intp).reshape(len(subsets), j)
+                        assert level.dtype == np.int32
+                        assert level.tolist() == a[index].sum(axis=1).tolist()
+                    if not full:
+                        assert sum(map(len, levels)) == math.comb(m + 1, t)
+
+    def test_full_table_keeps_every_level_within_the_cap(self):
+        # C(20, 19) = 20 rows fit, so an exact-size scan at s = 19 reads
+        # level 19 of a C(21, 19)-row table; a full table stops at t = 5,
+        # the last size before C(20, 6) = 38760 rows, not at 2^20 rows.
+        inst = Instance(np.ones((20, 2), dtype=np.int8))
+        levels = oracle._table(inst, 19, False)
+        assert len(levels) == 20 and sum(map(len, levels)) == math.comb(21, 19)
+        levels = oracle._table(inst, 19, True)
+        assert len(levels) == 6 and max(map(len, levels)) == math.comb(20, 5) <= oracle._MAX_TAIL_ROWS
+
+    def test_one_table_per_call(self, monkeypatch):
+        # The at-most pass reads every size from one full table; an
+        # exact-size scan builds the C(m + 1, t) rows level t needs.
+        table, built = oracle._table, []
+
+        def counted_table(instance, s, full):
+            levels = table(instance, s, full)
+            built.append((full, sum(map(len, levels))))
+            return levels
+
+        monkeypatch.setattr(oracle, "_table", counted_table)
+        inst = gen_random(18, 10, 0.5, 1)
+        full_rows = sum(math.comb(18, j) for j in range(8))
+        exact_optimum(inst, 9, ObjectiveKind.CMIN)
+        assert built == [(True, full_rows)] and full_rows == 63004
+        for call in (
+            lambda: exact_optimum(inst, 9, ObjectiveKind.CAVG, include_at_most=False),
+            lambda: exact_all_objectives(inst, 9),
+            lambda: size_s_cover_exists(inst, 9),
+            lambda: perfect_balance_exists(inst, 10),
+        ):
+            built.clear()
+            call()
+            assert built == [(False, math.comb(19, 7))]
+
     def test_matches_plain_enumeration_at_small_table_caps(self, monkeypatch):
-        # Table caps of 1, 2 and 5 rows make t = 0 < k, 0 < t < k and
-        # t = k all occur, with many heads per scan; every optimum,
-        # witness and decision must match a plain combinations scan.
+        # Table caps of 1, 2 and 5 rows make t = 0 < k, 0 < t < k, t = k
+        # and (in the at-most pass) k < t all occur, with many heads per
+        # scan; every optimum, witness and decision must match a plain
+        # combinations scan.
         scan, cases, most_heads = oracle._scan, set(), 0
 
-        def observed_scan(instance, k):
+        def observed_scan(instance, levels, k):
             nonlocal most_heads
-            heads = 0
-            for head, tails, deg in scan(instance, k):
-                t = tails.shape[1]
-                cases.add("t = k" if t == k else "t = 0 < k" if t == 0 else "0 < t < k")
+            heads, t = 0, len(levels) - 1
+            for head, row, deg in scan(instance, levels, k):
+                cases.add(
+                    "t = k" if t == k else "k < t" if k < t else "t = 0 < k" if t == 0 else "0 < t < k"
+                )
                 heads += 1
-                yield head, tails, deg
+                yield head, row, deg
             most_heads = max(most_heads, heads)
 
         def plain_best(pairs, s, kind):
@@ -308,7 +379,7 @@ class TestHeadTailScan:
                         assert perfect_balance_exists(inst, s) == balanced
                     covered = any(((d >= 1) & (d <= s - 1)).all() for d in degs)
                     assert size_s_cover_exists(inst, s) == covered
-        assert cases == {"t = 0 < k", "0 < t < k", "t = k"}
+        assert cases == {"t = 0 < k", "0 < t < k", "t = k", "k < t"}
         assert most_heads >= 100
 
 
