@@ -2,8 +2,9 @@
 
 Subcommands: build-matrix (FASTA -> matrix file), solve (LP + rounding),
 oracle (exhaustive optimum), gen (instance generators), bench (sweep to
-CSV).  Exit codes: 0 success, 1 usage, 2 bad input data, 3 enumeration
-budget refusal, 4 solver failure.
+CSV).  Exit codes: 0 success, 1 usage or stdout closed before the output
+was written (no traceback), 2 bad input data, 3 enumeration budget
+refusal, 4 solver failure.
 
 Every random action takes --seed; without it a seed is drawn from
 system entropy and printed so the run can be reproduced.
@@ -43,7 +44,7 @@ from .generators import (
     replicate_probes,
 )
 from .ingest import AmbiguityPolicy, build_instance, parse_sequences
-from .lp import Formulation, maxlp_from_minlp, solve_formulation, solve_sweep
+from .lp import Formulation, maxlp_from_minlp, solve_sweep
 from .oracle import DEFAULT_BUDGET, exact_optimum
 from .rounding import (
     ALGORITHM_FORMULATION,
@@ -434,7 +435,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # a stdout closed by its reader raises here, not in the interpreter's flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # fd 1 on devnull, so the flush at exit cannot raise again (Python signal docs, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except SystemExit as err:
         # argparse exits directly for --help
         return int(err.code or 0)

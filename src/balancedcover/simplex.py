@@ -206,6 +206,8 @@ class _Engine:
         self.Binv = np.eye(nrows) if not exact else _to_exact(np.eye(nrows))
         self.lb = lb
         self.ub = ub
+        # a fixed column (lower = upper) never enters the basis
+        self.movable = ub > lb
         self.cost = cost
         self.vals = vals
         self.sign = sign
@@ -214,6 +216,8 @@ class _Engine:
         self.xB = rhs - W.dot(vals)
         self.iterations = 0
         self.dual_iterations = 0
+        # a float solve switches to Bland's rule after this many degenerate pivots in a row
+        self.degen_limit = 100 + nrows
         self.max_iterations = (
             int(max_iterations) if max_iterations is not None else 200 * (nrows + ncols) + 5000
         )
@@ -237,32 +241,22 @@ class _Engine:
 
     def _run(self, cost):
         d = self._price(cost)
-        movable = self.ub > self.lb
         degen_run = 0
-        degen_limit = 100 + self.nrows
         while True:
             d = self._tick(cost, d)
-            bland = self.exact or degen_run >= degen_limit
-            elig = movable & (self.sign * d < -self.tol)
-            if not elig.any():
+            bland = self.exact or degen_run >= self.degen_limit
+            # -sign_j * d_j is |d_j| on a column that improves the objective, at most tol on any other
+            gain = np.where(self.movable, -self.sign * d, 0)
+            e = int(np.argmax(gain > self.tol if bland else gain))
+            if gain[e] <= self.tol:
                 return d
-            if bland:
-                e = int(np.argmax(elig))
-            else:
-                score = np.where(elig, np.abs(d), -1)
-                e = int(np.argmax(score))
             sigma = int(self.sign[e])
             col = self._column(e)
             w = sigma * col
-            bl = self.lb[self.basis]
-            bu = self.ub[self.basis]
+            # a basic value falling (w > 0) stops at its lower bound, a rising one at its upper
+            bound = np.where(w > 0, self.lb[self.basis], self.ub[self.basis])
             ratios = np.full(self.nrows, math.inf, dtype=col.dtype)
-            pos = w > self.pivtol
-            neg = w < -self.pivtol
-            if pos.any():
-                ratios[pos] = (self.xB[pos] - bl[pos]) / w[pos]
-            if neg.any():
-                ratios[neg] = (self.xB[neg] - bu[neg]) / w[neg]
+            np.divide(self.xB - bound, w, out=ratios, where=abs(w) > self.pivtol)
             ratios = np.maximum(ratios, 0)
             rmin = ratios.min()
             tflip = self.ub[e] - self.lb[e]
@@ -294,7 +288,6 @@ class _Engine:
         delta = np.random.default_rng(0).uniform(1e-7, 1e-6, self.cost.size) * (1.0 + np.abs(self.cost))
         cost = self.cost + self.sign * delta
         d = self._price(cost)
-        movable = self.ub > self.lb
         while True:
             d = self._tick(cost, d)
             below = self.lb[self.basis] - self.xB
@@ -308,11 +301,11 @@ class _Engine:
             rise = below[r] > 0
             alpha = self._row(r)
             row = alpha if rise else -alpha
-            elig = movable & (self.sign * row < -self.pivtol)
+            elig = self.movable & (self.sign * row < -self.pivtol)
             if not elig.any():
                 raise SolverError(f"infeasible constraint system (basic row {r} cannot reach its bounds)")
             ratios = np.full(alpha.size, math.inf)
-            ratios[elig] = np.abs(d[elig] / row[elig])
+            np.divide(np.abs(d), np.abs(row), out=ratios, where=elig)
             e = int(np.argmin(ratios))
             target = self.lb[self.basis[r]] if rise else self.ub[self.basis[r]]
             self._exchange(r, e, self._column(e), (self.xB[r] - target) / alpha[e], rise)
@@ -406,7 +399,7 @@ class _Engine:
         rp = float(max(0, (A0.dot(x) - rhs0).max()))
         rb = float(max(0, (lower0 - x).max(), (x - upper0).max()))
         wrong = np.where(self.sign == 0, abs(d), -self.sign * d)
-        wrong = wrong[self.ub > self.lb]
+        wrong = wrong[self.movable]
         rd = float(max(0, wrong.max())) if wrong.size else 0.0
 
         return SimplexResult(

@@ -523,7 +523,6 @@ class TestBench:
         def no_solve(*args, **kwargs):
             raise AssertionError("an LP was solved before the outputs were checked")
 
-        monkeypatch.setattr(cli, "solve_formulation", no_solve)
         monkeypatch.setattr(cli, "solve_sweep", no_solve)
         if bad == "out_dir_missing":
             out = path = tmp_path / "missing" / "bench.csv"
@@ -549,12 +548,13 @@ class TestTopLevel:
         assert main([]) == 1
 
 
-def run_cli(argv):
-    """Run the CLI in a fresh interpreter: (exit code, stderr)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(balancedcover.__file__).parent.parent))
+def run_cli(argv, stdout=subprocess.PIPE, **env):
+    """Run the CLI in a fresh interpreter, ``env`` added to its environment: (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(balancedcover.__file__).parent.parent), **env)
     proc = subprocess.run(
         [sys.executable, "-m", "balancedcover.cli", *map(str, argv)],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=120,
@@ -678,3 +678,28 @@ class TestPathErrors:
         assert rc == 2, err
         assert str(path) in err
         assert "Traceback" not in err
+
+
+class TestClosedStdout:
+    """A reader that closes stdout before the output is written ends the run in exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["oracle", "solve", "bench"])
+    def test_exit_1_without_traceback(self, tmp_path, command, unbuffered):
+        matrix = tmp_path / "g.matrix"
+        write_matrix(matrix, golden.instance())
+        argv = {
+            "oracle": ["oracle", matrix, "--s", "4", "--objective", "cavg"],
+            "solve": ["solve", matrix, *TestPathErrors.SOLVE],
+            "bench": ["bench", "--size", "6x3", "--density", "0.5", "--s-range", "2:3", "--trials", "1",
+                      "--seed", "1", "--out", tmp_path / "b.csv"],
+        }[command]
+        read_end, write_end = os.pipe()
+        # with no reader left, every write to the pipe fails with EPIPE
+        os.close(read_end)
+        try:
+            rc, err = run_cli(argv, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+        assert rc == 1, err
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err

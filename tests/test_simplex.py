@@ -5,8 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import golden
+from balancedcover import lp
 from balancedcover.errors import SolverError
-from balancedcover.simplex import solve_simplex
+from balancedcover.generators import gen_random
+from balancedcover.lp import Formulation
+from balancedcover.simplex import _Engine, solve_simplex
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -105,6 +109,25 @@ class TestExactMode:
                 continue
             approx = solve(c, A, b, upper=upper, maximize=True)
             assert approx.objective == pytest.approx(float(exact.objective), abs=1e-9)
+
+    @pytest.mark.parametrize("form", [Formulation.MINLP, Formulation.AVGLP], ids=lambda f: f.value)
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3], ids=lambda v: "golden" if v is None else f"random{v}")
+    def test_float_bland_rule_takes_the_exact_path(self, form, seed):
+        # exact mode pivots by Bland's rule throughout; a float solve switched to it from the first
+        # pivot must take the same path on these small LPs, crash start included
+        if seed is None:
+            instance, budgets = golden.instance(), (1, 4, 8)
+        else:
+            instance, budgets = gen_random(12, 8, 0.5, seed), (2, 5, 9)
+        for s in budgets:
+            problem = lp._solved_lp(instance, s, form, s)
+            args = (problem.c, problem.A, problem.rhs, problem.lower, problem.upper, problem.maximize)
+            at_upper = lp._crash_start(problem)
+            engine = _Engine(*args, False, None, at_upper, None)
+            engine.degen_limit = 0
+            approx = engine.solve()
+            exact = _Engine(*args, True, None, at_upper, None).solve()
+            assert (approx.basis, approx.at_upper, approx.iterations) == (exact.basis, exact.at_upper, exact.iterations)
 
     def test_exact_mode_starts_columns_at_upper(self):
         # max x + y s.t. x + 2y <= 4, 3x + y <= 6, x <= 1, started with x at 1: optimum (1, 3/2)
