@@ -66,6 +66,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 
+    def print_help(self, file=None):
+        # argparse's own drops a failed write; --help into a closed stdout then exits 1 like a command
+        (file or sys.stdout).write(self.format_help())
+
 
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
@@ -434,8 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as err:
+            # argparse exits directly for --help
+            code = int(err.code or 0)
         # a stdout closed by its reader raises here, not in the interpreter's flush at exit
         sys.stdout.flush()
         return code
@@ -445,9 +453,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except SystemExit as err:
-        # argparse exits directly for --help
-        return int(err.code or 0)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -183,8 +183,8 @@ def objective_scores(deg: np.ndarray, s: int, kind: ObjectiveKind) -> np.ndarray
 
     The scores follow the stored conventions: cmin, cavg_num, dmax_x2
     and davg_num_x2.  Divide by ``objective_denominator`` for the value.
-    The cavg/davg sums accumulate in int64, so narrower degree arrays
-    cannot wrap.
+    A narrow ``deg`` must hold 2 * deg - s (cavg/davg sum in int64), and a
+    probe-major (Fortran-ordered) block reduces fastest.
     """
     if kind.maximize:
         low = np.minimum(deg, s - deg)

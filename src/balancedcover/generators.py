@@ -27,6 +27,7 @@ objectives and all three relaxations untouched while scaling n.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -113,10 +114,10 @@ def x3c_instance(universe_size: int, triples) -> X3cReduction:
     for i, t in enumerate(triples):
         a[i, list(t)] = 1
     a[len(triples) :, :] = 1
-    clone_names = [f"t{i + 1}" for i in range(len(triples))] + [
-        f"w{i + 1}" for i in range(num_universal)
-    ]
-    probe_names = [f"x{j + 1}" for j in range(universe_size)]
+    # interned, so reductions kept side by side share one copy of each name
+    clone_names = [sys.intern(f"t{i + 1}") for i in range(len(triples))]
+    clone_names += [sys.intern(f"w{i + 1}") for i in range(num_universal)]
+    probe_names = [sys.intern(f"x{j + 1}") for j in range(universe_size)]
     inst = Instance(a, clone_names=clone_names, probe_names=probe_names)
     return X3cReduction(
         instance=inst,
@@ -228,8 +229,8 @@ def set_cover_instance(universe_size: int, family, target_size: int) -> SetCover
         a[i, list(fs)] = 1
         a[i, universe_size] = 1
     # final row is q0: no edges anywhere
-    clone_names = [f"q{i + 1}" for i in range(len(family))] + ["q0"]
-    probe_names = [f"x{j + 1}" for j in range(universe_size)] + ["x0"]
+    clone_names = [sys.intern(f"q{i + 1}") for i in range(len(family))] + ["q0"]
+    probe_names = [sys.intern(f"x{j + 1}") for j in range(universe_size)] + ["x0"]
     inst = Instance(a, clone_names=clone_names, probe_names=probe_names)
     return SetCoverReduction(
         instance=inst,

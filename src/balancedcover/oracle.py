@@ -2,21 +2,22 @@
 
 Exhaustive enumeration over clone subsets runs through one scan by head
 and tail over one table per call.  The table holds, level by level,
-only the int32 degree sums of the j-subsets for j = 0..t, in
-lexicographic order.  A size-k subset with k > t is a head of its
-first k - t clones and a tail of its last t; the tails that may follow
-a head are a suffix of level t, so each head yields one block of degree
-vectors from a single array addition, and a size k <= t is level k read
-as one block.  The at-most-s pass builds every level whole and reads
-all sizes up to s from that one table; an exact-size scan builds only
-what level t needs.  No subset is ever a Python tuple until a strict
-improvement rebuilds its witness from the block's head and row number
-(``_unrank``, the combinatorial number system).  The optimum,
-all-objectives and decision oracles all consume that scan;
-``exact_all_objectives`` scores every objective on each block's
-degrees, so it enumerates once.  Enumeration is lexicographic and
-improvements must be strict, so the reported witness is the
-lexicographically smallest optimal subset.
+only the degree sums of the j-subsets for j = 0..t, in lexicographic
+order, probe-major and in the narrowest signed type that holds 2s, so
+every block reduces over contiguous probe columns.  A size-k subset
+with k > t is a head of its first k - t clones and a tail of its last
+t; the tails that may follow a head are a suffix of level t, so each
+head yields one block of degree vectors from a single array addition,
+and a size k <= t is level k read as one block.  The at-most-s pass
+builds every level whole and reads all sizes up to s from that one
+table; an exact-size scan builds only what level t needs.  No subset is
+ever a Python tuple until a strict improvement rebuilds its witness
+from the block's head and row number (``_unrank``, the combinatorial
+number system).  The optimum, all-objectives and decision oracles all
+consume that scan; ``exact_all_objectives`` scores every objective on
+each block's degrees, so it enumerates once.  Enumeration is
+lexicographic and improvements must be strict, so the reported witness
+is the lexicographically smallest optimal subset.
 
 Everything here refuses to run past a configurable subset budget
 (default 1e7) rather than silently grinding; every budget is checked
@@ -86,7 +87,7 @@ def _check_enumeration(m: int, s: int, budget: int) -> int:
 
 
 def _table(instance: Instance, s: int, full: bool) -> list[np.ndarray]:
-    """Degree sums of the j-subsets for j = 0..t, one int32 array per level, in lexicographic order.
+    """Degree sums of the j-subsets for j = 0..t, one array per level, in lexicographic order.
 
     Level j holds the j-subsets of ``range(low, m)``: each first clone i
     joined to every (j - 1)-subset of ``range(i + 1, m)``, which are the
@@ -96,7 +97,9 @@ def _table(instance: Instance, s: int, full: bool) -> list[np.ndarray]:
     ``_MAX_TAIL_ROWS`` rows.  Otherwise only level t is read: low = t - j,
     the lowest first clone a t-subset's last j clones can have, so the
     table holds C(m + 1, t) rows, and t is the largest size up to s
-    whose level alone fits.  Level t starts at clone 0 either way.
+    whose level alone fits.  Level t starts at clone 0 either way.  Each
+    level is probe-major (``order="F"``) in the narrowest signed type that
+    holds 2s, int8 up to s = 63, so ``2 * deg - s`` cannot wrap.
     """
     a = instance.adjacency
     m, n = a.shape
@@ -104,11 +107,12 @@ def _table(instance: Instance, s: int, full: bool) -> list[np.ndarray]:
     if full:
         fits = list(itertools.accumulate(fits, operator.and_))
     t = max(j for j, ok in enumerate(fits) if ok)
-    levels = [np.zeros((1, n), dtype=np.int32)]
+    dtype = np.min_scalar_type(-(2 * s + 1))
+    levels = [np.zeros((1, n), dtype=dtype, order="F")]
     for j in range(1, t + 1):
         low = 0 if full else t - j
         prev, rows = levels[-1], 0
-        level = np.empty((math.comb(m - low, j), n), dtype=np.int32)
+        level = np.empty((math.comb(m - low, j), n), dtype=dtype, order="F")
         for i in range(low, m - j + 1):
             count = math.comb(m - 1 - i, j - 1)
             np.add(a[i], prev[-count:], out=level[rows : rows + count])
@@ -152,7 +156,7 @@ def _scan(instance: Instance, levels: list[np.ndarray], k: int):
     for head in itertools.combinations(range(m - t), k - t):
         # the t-subsets of range(p, m) are the last C(m - p, t) rows of level t
         row = len(tails) - math.comb(m - 1 - head[-1], t)
-        yield head, row, a[list(head)].sum(axis=0, dtype=np.int32) + tails[row:]
+        yield head, row, a[list(head)].sum(axis=0, dtype=tails.dtype) + tails[row:]
 
 
 def _best(

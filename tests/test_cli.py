@@ -684,7 +684,7 @@ class TestClosedStdout:
     """A reader that closes stdout before the output is written ends the run in exit 1, not a traceback."""
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("command", ["oracle", "solve", "bench"])
+    @pytest.mark.parametrize("command", ["oracle", "solve", "bench", "--help"])
     def test_exit_1_without_traceback(self, tmp_path, command, unbuffered):
         matrix = tmp_path / "g.matrix"
         write_matrix(matrix, golden.instance())
@@ -693,6 +693,7 @@ class TestClosedStdout:
             "solve": ["solve", matrix, *TestPathErrors.SOLVE],
             "bench": ["bench", "--size", "6x3", "--density", "0.5", "--s-range", "2:3", "--trials", "1",
                       "--seed", "1", "--out", tmp_path / "b.csv"],
+            "--help": ["--help"],
         }[command]
         read_end, write_end = os.pipe()
         # with no reader left, every write to the pipe fails with EPIPE
@@ -701,5 +702,4 @@ class TestClosedStdout:
             rc, err = run_cli(argv, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
         finally:
             os.close(write_end)
-        assert rc == 1, err
-        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+        assert (rc, err) == (1, "")

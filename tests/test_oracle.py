@@ -274,9 +274,10 @@ class TestHeadTailScan:
                     assert ranked[first:] == list(combinations(range(low, m), k))
 
     def test_table_levels_match_combinations(self):
-        # Level j of a table for t holds the int32 degree sums of the
-        # j-subsets of range(low, m), low = 0 (full) or t - j, in
-        # lexicographic order; a table that is not full has C(m + 1, t) rows.
+        # Level j of a table for t holds the degree sums of the j-subsets
+        # of range(low, m), low = 0 (full) or t - j, in lexicographic
+        # order, probe-major in the narrowest signed type that holds 2t;
+        # a table that is not full has C(m + 1, t) rows.
         rng = np.random.default_rng(1618)
         for m in range(1, 13):
             a = (rng.random((m, 3)) < 0.5).astype(np.int8)
@@ -288,7 +289,8 @@ class TestHeadTailScan:
                         low = 0 if full else t - j
                         subsets = list(combinations(range(low, m), j))
                         index = np.array(subsets, dtype=np.intp).reshape(len(subsets), j)
-                        assert level.dtype == np.int32
+                        assert level.dtype == np.min_scalar_type(-(2 * t + 1)) == np.int8
+                        assert level.flags.f_contiguous
                         assert level.tolist() == a[index].sum(axis=1).tolist()
                     if not full:
                         assert sum(map(len, levels)) == math.comb(m + 1, t)
@@ -381,6 +383,83 @@ class TestHeadTailScan:
                     assert size_s_cover_exists(inst, s) == covered
         assert cases == {"t = 0 < k", "0 < t < k", "t = k", "k < t"}
         assert most_heads >= 100
+
+
+class TestNarrowTables:
+    """Oracles on int8 and int16 tables agree with plain scans, and no block leaves its table's type."""
+
+    @pytest.fixture
+    def block_dtypes(self, monkeypatch):
+        scan, seen = oracle._scan, set()
+
+        def checked_scan(instance, levels, k):
+            for head, row, deg in scan(instance, levels, k):
+                assert deg.dtype == levels[0].dtype and deg.flags.f_contiguous
+                seen.add(deg.dtype)
+                yield head, row, deg
+
+        monkeypatch.setattr(oracle, "_scan", checked_scan)
+        return seen
+
+    @pytest.mark.parametrize("s, dtype", [(63, np.int8), (64, np.int16), (68, np.int16)])
+    def test_exact_size_matches_evaluate_at_the_type_boundary(self, monkeypatch, block_dtypes, s, dtype):
+        # s = 63 is the last s whose 2s fits int8; density 0.9 puts degrees
+        # near s.  The default cap reads the C(s + 2, s) subsets as one
+        # level; a 100-row cap makes t = 1, so about two thousand heads of
+        # s - 1 clones are summed in the table's type.  Below s = 128 an
+        # int8 2 * deg - s would wrap and wrap back, so the type is pinned
+        # by the dtype check, not by the values.
+        inst = gen_random(s + 2, 6, 0.9, s)
+        scored = [(evaluate(inst, c, s), c) for c in combinations(range(s + 2), s)]
+        for cap in (oracle._MAX_TAIL_ROWS, 100):
+            monkeypatch.setattr(oracle, "_MAX_TAIL_ROWS", cap)
+            for kind in ObjectiveKind:
+                sign = -1 if kind.maximize else 1
+                value, witness = min((sign * e.exact_value(kind), c) for e, c in scored)
+                res = exact_optimum(inst, s, kind, include_at_most=False)
+                assert (res.optimum, res.witness) == (sign * value, witness)
+        assert block_dtypes == {np.dtype(dtype)}
+
+    def test_every_oracle_matches_plain_scans_on_int8_tables(self, block_dtypes):
+        # m = 18 and s = 9 put heads in both the exact-size scan (t = 8)
+        # and the at-most pass (t = 7); the references sum degrees in int64.
+        outcomes = set()
+        for m, n, density, seed, s in (
+            (18, 10, 0.5, 1, 9), (18, 3, 0.5, 2, 8), (16, 6, 0.1, 3, 8), (14, 4, 0.9, 4, 6), (18, 5, 0.3, 5, 1),
+        ):
+            inst = gen_random(m, n, density, seed)
+            by_size = []
+            for k in range(s + 1):
+                subsets = np.array(list(combinations(range(m), k)), dtype=np.intp).reshape(math.comb(m, k), k)
+                by_size.append((subsets, inst.adjacency[subsets].sum(axis=1, dtype=np.int64)))
+
+            def plain_best(sizes, kind):
+                # per size the first optimum is lex-first; across sizes ties go to the smaller tuple
+                sign = -1 if kind.maximize else 1
+                best = []
+                for subsets, deg in sizes:
+                    scores = sign * objective_scores(deg, s, kind)
+                    best.append((int(scores.min()), tuple(subsets[scores.argmin()].tolist())))
+                score, witness = min(best)
+                return sign * score, witness
+
+            results = exact_all_objectives(inst, s)
+            for kind in ObjectiveKind:
+                expected = plain_best(by_size[s:], kind)
+                res = exact_optimum(inst, s, kind, include_at_most=True)
+                assert (res.optimum_num, res.witness) == expected
+                assert (results[kind].optimum_num, results[kind].witness) == expected
+                assert (res.optimum_num_at_most, res.witness_at_most) == plain_best(by_size, kind)
+            deg = by_size[s][1]
+            covered = bool(((deg >= 1) & (deg <= s - 1)).all(axis=1).any())
+            assert size_s_cover_exists(inst, s) == covered
+            outcomes.add(("cover", covered))
+            if s % 2 == 0:
+                balanced = bool((deg == s // 2).all(axis=1).any())
+                assert perfect_balance_exists(inst, s) == balanced
+                outcomes.add(("balance", balanced))
+        assert block_dtypes == {np.dtype(np.int8)}
+        assert outcomes == {(name, answer) for name in ("cover", "balance") for answer in (True, False)}
 
 
 class TestExcessEstimate:
