@@ -120,6 +120,9 @@ def cmd_solve(args) -> int:
         pad_policy=PadPolicy(args.pad),
         repair_policy=RepairPolicy(args.repair),
     )
+    # learn of an unwritable output before the solve, not after it
+    if args.out:
+        check_writable(args.out)
     t0 = time.perf_counter()
     report = solve_end_to_end(inst, args.s, config)
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -182,14 +185,16 @@ def _ground_truth_comment(kind: GeneratorKind, truth: bool | None) -> str:
     return "ground-truth: size-s-cover-exists" if truth else "ground-truth: no-size-s-cover"
 
 
-# per generator kind: the flags it cannot do without, then the flags it may take (argparse dests)
+# per generator kind: its flags (argparse dests) in the order its header lists them
 _GEN_FLAGS = {
-    GeneratorKind.RANDOM: (("m", "n", "density"), ("seed",)),
-    GeneratorKind.X3C: (("universe",), ("seed", "triples", "plant_cover")),
-    GeneratorKind.SETCOVER: (("universe", "target_b"), ("seed", "sets", "max_set_size")),
-    GeneratorKind.REPLICATE: (("input", "r"), ()),
+    GeneratorKind.RANDOM: ("m", "n", "density"),
+    GeneratorKind.X3C: ("universe", "triples", "plant_cover"),
+    GeneratorKind.SETCOVER: ("universe", "sets", "max_set_size", "target_b"),
+    GeneratorKind.REPLICATE: ("input", "r"),
 }
-_GEN_DESTS = tuple(dict.fromkeys(f for needs, takes in _GEN_FLAGS.values() for f in needs + takes))
+# the flags a kind cannot do without; --seed is drawn when missing
+_GEN_REQUIRED = frozenset(("m", "n", "density", "universe", "target_b", "input", "r"))
+_GEN_DESTS = tuple(dict.fromkeys(itertools.chain(*_GEN_FLAGS.values(), ["seed"])))
 
 
 def _flag_names(dests) -> str:
@@ -198,52 +203,36 @@ def _flag_names(dests) -> str:
 
 def cmd_gen(args) -> int:
     kind = GeneratorKind(args.kind)
-    needs, takes = _GEN_FLAGS[kind]
-    missing = [f for f in needs if getattr(args, f) is None]
+    flags = _GEN_FLAGS[kind]
+    takes = flags if kind is GeneratorKind.REPLICATE else flags + ("seed",)
+    missing = [f for f in flags if f in _GEN_REQUIRED and getattr(args, f) is None]
     if missing:
         raise _UsageError(f"--kind {kind.value} requires {_flag_names(missing)}")
     # a flag of another kind is an error once it differs from its default
-    stray = [f for f in _GEN_DESTS if f not in needs + takes and getattr(args, f) != args.gen_defaults[f]]
+    stray = [f for f in _GEN_DESTS if f not in takes and getattr(args, f) != args.gen_defaults[f]]
     if stray:
         raise _UsageError(f"--kind {kind.value} does not take {_flag_names(stray)}")
-    seed = None if kind is GeneratorKind.REPLICATE else _resolve_seed(args.seed)
+    seed = _resolve_seed(args.seed) if "seed" in takes else None
+    if kind is GeneratorKind.X3C and args.triples is None:
+        args.triples = 2 * (args.universe // 3)
+    if kind is GeneratorKind.SETCOVER and args.sets is None:
+        args.sets = args.universe
     red = None
     if kind is GeneratorKind.RANDOM:
         inst = gen_random(args.m, args.n, args.density, seed)
-        params = (("m", args.m), ("n", args.n), ("density", args.density))
     elif kind is GeneratorKind.X3C:
-        num_triples = args.triples if args.triples is not None else 2 * (args.universe // 3)
-        red = gen_x3c(
-            args.universe,
-            num_triples,
-            plant_cover=args.plant_cover,
-            seed=seed,
-            solve_ground_truth=args.universe <= 12,
-        )
-        params = (
-            ("universe", args.universe),
-            ("triples", num_triples),
-            ("plant-cover", json.dumps(args.plant_cover)),
-        )
+        red = gen_x3c(args.universe, args.triples, plant_cover=args.plant_cover, seed=seed,
+                      solve_ground_truth=args.universe <= 12)
     elif kind is GeneratorKind.SETCOVER:
-        family_size = args.sets if args.sets is not None else args.universe
-        red = gen_set_cover(
-            args.universe,
-            family_size,
-            args.max_set_size,
-            args.target_b,
-            seed=seed,
-            solve_ground_truth=family_size <= 12,
-        )
-        params = (
-            ("universe", args.universe),
-            ("sets", family_size),
-            ("max-set-size", args.max_set_size),
-            ("target-b", args.target_b),
-        )
+        red = gen_set_cover(args.universe, args.sets, args.max_set_size, args.target_b, seed=seed,
+                            solve_ground_truth=args.sets <= 12)
     else:
         inst = replicate_probes(read_matrix(args.input), args.r)
-        params = (("input", args.input), ("r", args.r))
+    # the header's pairs: each flag of the kind as written on the command line, a bool as JSON
+    params = tuple(
+        (f.replace("_", "-"), json.dumps(v) if isinstance(v, bool) else v)
+        for f, v in zip(flags, map(vars(args).get, flags))
+    )
     if red is not None:
         inst = red.instance
         params += (("s", red.s),)
@@ -259,11 +248,8 @@ def cmd_gen(args) -> int:
 
 
 def _parse_size(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise _UsageError(f"--size must look like MxN, got {text!r}")
     try:
-        m, n = int(parts[0]), int(parts[1])
+        m, n = map(int, text.lower().split("x"))
     except ValueError:
         raise _UsageError(f"--size must look like MxN, got {text!r}") from None
     if m < 1 or n < 1:

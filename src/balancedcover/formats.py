@@ -109,13 +109,22 @@ def parse_names(text: str, m: int, n: int, label: str = "names") -> tuple[tuple[
         split = lines.index("")
     except ValueError:
         raise InputError(f"{label}: missing blank separator line") from None
-    clones = [ln.strip() for ln in lines[:split]]
-    probes = [ln.strip() for ln in lines[split + 1 :] if ln.strip()]
+    # (line number, name) pairs; blank lines after the separator are skipped
+    clones = [(k, ln.strip()) for k, ln in enumerate(lines[:split], start=1)]
+    probes = [(k, ln.strip()) for k, ln in enumerate(lines[split + 1 :], start=split + 2) if ln.strip()]
     if len(clones) != m:
         raise InputError(f"{label}: expected {m} clone names, got {len(clones)}")
     if len(probes) != n:
         raise InputError(f"{label}: expected {n} probe names, got {len(probes)}")
-    return tuple(clones), tuple(probes)
+    for what, block in (("clone", clones), ("probe", probes)):
+        seen = set()
+        for k, name in block:
+            if not name:
+                raise InputError(f"{label}: line {k}: empty {what} name")
+            if name in seen:
+                raise InputError(f"{label}: line {k}: duplicate {what} name {name!r}")
+            seen.add(name)
+    return tuple(name for _, name in clones), tuple(name for _, name in probes)
 
 
 def names_path_for(matrix_path: str | Path) -> Path:

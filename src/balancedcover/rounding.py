@@ -20,6 +20,11 @@ selection under the target objective (ties to the earliest trial).
 Trial t always sees the generator seeded from (seed, t), so rerunning
 with more restarts reproduces the earlier trials exactly.
 
+A repair policy is a ranking of the clones.  ``random`` has none: the
+repair draws the clones it drops or adds uniformly.  ``lowest-fraction``
+ranks by x*: a drop takes the smallest x* first, a fill the largest
+first, ties to the lowest clone index.
+
 Repair never adds clones for the rcm family, so selections can end
 below s; the pad policy then optionally tops the selection up to s with
 random clones, or greedily: one clone at a time, the clone that most
@@ -193,38 +198,19 @@ def _score(adjacency: np.ndarray, selected: np.ndarray, s: int, kind: ObjectiveK
     return int(objective_scores(adjacency[selected].sum(axis=0, dtype=np.int64), s, kind))
 
 
-def _unselected(selected: np.ndarray, m: int) -> np.ndarray:
-    """The clones outside ``selected``, in increasing index order."""
+def _pick(pool: np.ndarray, count: int, rng: np.random.Generator, rank: np.ndarray | None) -> np.ndarray:
+    """``count`` positions in ``pool``: a uniform draw without a rank, else lowest rank first, ties to the lowest clone."""
+    if rank is None:
+        return rng.choice(pool.size, count, replace=False)
+    return np.lexsort((pool, rank[pool]))[:count]
+
+
+def _add(selected: np.ndarray, count: int, rng: np.random.Generator, rank: np.ndarray | None, m: int) -> np.ndarray:
+    """``selected`` plus ``count`` clones picked (see ``_pick``) from those outside it, in index order."""
     taken = np.zeros(m, dtype=bool)
     taken[selected] = True
-    return np.flatnonzero(~taken)
-
-
-def _random_top_up(selected: np.ndarray, count: int, rng: np.random.Generator, m: int) -> np.ndarray:
-    """Add ``count`` clones drawn uniformly from those outside ``selected``."""
-    added = rng.choice(_unselected(selected, m), size=count, replace=False)
-    return np.sort(np.concatenate([selected, added]))
-
-
-def _drop_excess(selected: np.ndarray, count: int, x_star: np.ndarray, rng: np.random.Generator, policy: RepairPolicy) -> np.ndarray:
-    if policy is RepairPolicy.RANDOM:
-        drop_pos = rng.choice(selected.size, size=count, replace=False)
-    else:
-        # smallest fractional value first, ties to the lowest clone index
-        order = np.lexsort((selected, x_star[selected]))
-        drop_pos = order[:count]
-    keep = np.ones(selected.size, dtype=bool)
-    keep[drop_pos] = False
-    return selected[keep]
-
-
-def _fill_shortfall(selected: np.ndarray, count: int, x_star: np.ndarray, rng: np.random.Generator, policy: RepairPolicy, m: int) -> np.ndarray:
-    if policy is RepairPolicy.RANDOM:
-        return _random_top_up(selected, count, rng, m)
-    # largest fractional value first: nearest to being selected
-    pool = _unselected(selected, m)
-    order = np.lexsort((pool, -x_star[pool]))
-    return np.sort(np.concatenate([selected, pool[order[:count]]]))
+    pool = np.flatnonzero(~taken)
+    return np.sort(np.concatenate([selected, pool[_pick(pool, count, rng, rank)]]))
 
 
 def _pad(
@@ -240,7 +226,7 @@ def _pad(
     if need <= 0 or policy is PadPolicy.NONE:
         return selected
     if policy is PadPolicy.RANDOM:
-        return _random_top_up(selected, need, rng, instance.num_clones)
+        return _add(selected, need, rng, None, instance.num_clones)
     # greedy: repeatedly add the clone that best helps the objective, ties
     # to the lowest clone index.  A probe at degree d scores min(d, s - d);
     # a candidate changes the degree of exactly the probes it hits.
@@ -287,12 +273,14 @@ def _single_round(
     sampled = int(selected.size)
     raw = _score(a, selected, sampled if kind.maximize else s, kind)
 
-    # every algorithm drops an excess; only rdm fills a shortfall (the others pad)
+    # every algorithm drops an excess; only rdm fills a shortfall (the others pad).
+    # Ranked by x*, a drop takes the smallest first and a fill the largest.
+    rank = None if config.repair_policy is RepairPolicy.RANDOM else x_star
     excess = sampled - s
     if excess > 0:
-        selected = _drop_excess(selected, excess, x_star, rng, config.repair_policy)
+        selected = np.delete(selected, _pick(selected, excess, rng, rank))
     elif excess < 0 and algorithm is Algorithm.RDM:
-        selected = _fill_shortfall(selected, -excess, x_star, rng, config.repair_policy, m)
+        selected = _add(selected, -excess, rng, None if rank is None else -rank, m)
     repaired = abs(excess) if algorithm is Algorithm.RDM else max(excess, 0)
 
     pre_pad = _score(a, selected, s, kind)

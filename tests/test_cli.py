@@ -147,6 +147,18 @@ class TestSolve:
         assert record["lpValue"] == pytest.approx(float(golden.MAXLP_OPT))
         assert f"wrote {out}" in capsys.readouterr().out
 
+    def test_unwritable_out_refused_before_the_solve(self, golden_matrix, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solve ran before --out was checked")
+
+        monkeypatch.setattr(cli, "solve_end_to_end", no_solve)
+        out = tmp_path / "missing" / "r.json"
+        rc = main(["solve", str(golden_matrix), "--s", "6", "--objective", "cmin", "--alg", "rcm", "--seed", "5",
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_missing_seed_is_drawn_and_reported(self, golden_matrix, capsys):
         rc, out = self.run_solve(golden_matrix, capsys)
         assert rc == 0

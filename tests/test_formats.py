@@ -1,6 +1,7 @@
 """On-disk text formats: matrices, name sidecars, result records."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,24 @@ class TestNamesFormat:
         with pytest.raises(InputError):
             parse_names("a\nb\np1\n", 2, 1)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a\na\n\np\nq\n", "names: line 2: duplicate clone name 'a'"),
+            ("a\n  \n\np\nq\n", "names: line 2: empty clone name"),
+            ("\t\na\n\np\nq\n", "names: line 1: empty clone name"),
+            ("a\nb\n\np\nq\np\n", "names: line 6: duplicate probe name 'p'"),
+            # blank lines among the probes are skipped but still counted
+            ("a\nb\n\nq\n\n\n q \nr\n", "names: line 7: duplicate probe name 'q'"),
+        ],
+        ids=["duplicate_clone", "spaces_clone", "tab_clone", "duplicate_probe", "duplicate_probe_after_blanks"],
+    )
+    def test_bad_name_names_its_line(self, text, message):
+        clones, probes = text.split("\n\n", 1)
+        m, n = len(clones.split("\n")), len([ln for ln in probes.splitlines() if ln.strip()])
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            parse_names(text, m, n)
+
 
 class TestMatrixFiles:
     def test_write_read_with_names(self, tmp_path, golden_instance):
@@ -146,6 +165,18 @@ class TestMatrixFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             read_matrix(tmp_path / "absent.matrix")
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [("a\na\n\np\nq\n", "line 2: duplicate clone name 'a'"), ("a\n \n\np\nq\n", "line 2: empty clone name")],
+        ids=["duplicate", "empty"],
+    )
+    def test_bad_sidecar_names_its_path_and_line(self, tmp_path, names, message):
+        path = tmp_path / "g.matrix"
+        path.write_text("2 2\n1 0\n0 1\n")
+        names_path_for(path).write_text(names)
+        with pytest.raises(InputError, match=f"^{re.escape(f'{names_path_for(path)}: {message}')}$"):
+            read_matrix(path)
 
 
 class TestResultRecords:

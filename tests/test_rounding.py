@@ -26,9 +26,9 @@ from balancedcover.simplex import SimplexResult
 from balancedcover.rounding import (
     ALGORITHM_FORMULATION,
     ALGORITHM_OBJECTIVE,
-    _drop_excess,
-    _fill_shortfall,
+    _add,
     _pad,
+    _pick,
     _probabilities,
     shrink_parameter,
 )
@@ -267,31 +267,33 @@ class TestLpDominance:
 
 
 class TestRepairPolicies:
+    """A drop deletes the picked positions with rank x*; a fill adds the picked clones with rank -x*."""
+
     def test_drop_excess_lowest_fraction(self):
         selected = np.array([0, 1, 2, 3])
         x_star = np.array([0.9, 0.1, 0.5, 0.1])
         rng = np.random.default_rng(0)
-        kept = _drop_excess(selected, 2, x_star, rng, RepairPolicy.LOWEST_FRACTION)
+        kept = np.delete(selected, _pick(selected, 2, rng, x_star))
         assert kept.tolist() == [0, 2]
 
     def test_drop_excess_tie_breaks_by_index(self):
         selected = np.array([3, 5, 7])
         x_star = np.zeros(8)
         rng = np.random.default_rng(0)
-        kept = _drop_excess(selected, 1, x_star, rng, RepairPolicy.LOWEST_FRACTION)
+        kept = np.delete(selected, _pick(selected, 1, rng, x_star))
         assert kept.tolist() == [5, 7]
 
     def test_fill_shortfall_highest_fraction(self):
         selected = np.array([0])
         x_star = np.array([1.0, 0.2, 0.9, 0.4])
         rng = np.random.default_rng(0)
-        filled = _fill_shortfall(selected, 2, x_star, rng, RepairPolicy.LOWEST_FRACTION, 4)
+        filled = _add(selected, 2, rng, -x_star, 4)
         assert filled.tolist() == [0, 2, 3]
 
     def test_random_drop_count(self):
         selected = np.arange(10)
         rng = np.random.default_rng(4)
-        kept = _drop_excess(selected, 3, np.zeros(10), rng, RepairPolicy.RANDOM)
+        kept = np.delete(selected, _pick(selected, 3, rng, None))
         assert kept.size == 7
         assert set(kept.tolist()) <= set(range(10))
 
