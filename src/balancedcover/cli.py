@@ -82,10 +82,17 @@ def _resolve_seed(seed: int | None) -> int:
 # ----------------------------------------------------------------------
 
 
+def _check_matrix_out(path) -> None:
+    """Learn of an unwritable matrix file or names sidecar before the work that fills them."""
+    for out in (path, names_path_for(path)):
+        check_writable(out)
+
+
 def cmd_build_matrix(args) -> int:
     clones = parse_sequences(read_text(args.clones, "clone file"), prefix="c", label=args.clones)
     probes = parse_sequences(read_text(args.probes, "probe file"), prefix="p", label=args.probes)
     policy = AmbiguityPolicy(args.ambiguity)
+    _check_matrix_out(args.out)
     inst = build_instance(clones, probes, ambiguity=policy)
     write_matrix(
         args.out,
@@ -213,6 +220,7 @@ def cmd_gen(args) -> int:
     if stray:
         raise _UsageError(f"--kind {kind.value} does not take {_flag_names(stray)}")
     seed = _resolve_seed(args.seed) if "seed" in takes else None
+    _check_matrix_out(args.out)
     if kind is GeneratorKind.X3C and args.triples is None:
         args.triples = 2 * (args.universe // 3)
     if kind is GeneratorKind.SETCOVER and args.sets is None:

@@ -193,13 +193,17 @@ def objective_scores(deg: np.ndarray, s: int, kind: ObjectiveKind) -> np.ndarray
     return dev.max(axis=-1) if kind is ObjectiveKind.DMAX else dev.sum(axis=-1, dtype=np.int64)
 
 
-def _normalize_selection(instance: Instance, selected: Iterable[int]) -> tuple[int, ...]:
-    sel = tuple(sorted(int(i) for i in selected))
+def _normalize_selection(instance: Instance, selected: Iterable[int]) -> np.ndarray:
     m = instance.num_clones
-    for i in sel:
-        if not 0 <= i < m:
-            raise InputError(f"clone index {i} out of range [0, {m})")
-    if len(set(sel)) != len(sel):
+    try:
+        sel = np.sort(np.fromiter(selected, dtype=np.int64))
+    except OverflowError:
+        raise InputError(f"clone index out of range [0, {m})") from None
+    # sorted, so only the ends can lie outside; name the first index that does
+    if sel.size and not 0 <= sel[0] <= sel[-1] < m:
+        bad = sel[0] if sel[0] < 0 else sel[sel >= m][0]
+        raise InputError(f"clone index {bad} out of range [0, {m})")
+    if (sel[1:] == sel[:-1]).any():
         raise InputError("duplicate clone index in selection")
     return sel
 
@@ -223,8 +227,8 @@ def compute_degrees(instance: Instance, selected: Iterable[int]) -> np.ndarray:
     return _degrees(instance, _normalize_selection(instance, selected))
 
 
-def _degrees(instance: Instance, sel: tuple[int, ...]) -> np.ndarray:
-    return instance.adjacency[list(sel), :].sum(axis=0, dtype=np.int64)
+def _degrees(instance: Instance, sel: np.ndarray) -> np.ndarray:
+    return instance.adjacency[sel].sum(axis=0, dtype=np.int64)
 
 
 def evaluate(instance: Instance, selected: Iterable[int], budget: int) -> CoverSolution:
@@ -235,14 +239,20 @@ def evaluate(instance: Instance, selected: Iterable[int], budget: int) -> CoverS
     """
     sel = _normalize_selection(instance, selected)
     s = _check_budget(instance, budget)
-    if len(sel) > s:
-        raise InputError(f"selection has {len(sel)} clones, exceeds budget s={s}")
+    if sel.size > s:
+        raise InputError(f"selection has {sel.size} clones, exceeds budget s={s}")
     deg = _degrees(instance, sel)
+    cmin, cavg_num = (int(objective_scores(deg, s, kind)) for kind in (ObjectiveKind.CMIN, ObjectiveKind.CAVG))
+    # every degree lies in [0, s], so the deviations follow from the margins
+    # by the identities in the module docstring
     return CoverSolution(
-        selected=sel,
+        selected=tuple(sel.tolist()),
         budget=s,
-        degrees=tuple(int(d) for d in deg),
-        **{field: int(objective_scores(deg, s, kind)) for kind, field in _SCORE_FIELD.items()},
+        degrees=tuple(deg.tolist()),
+        cmin=cmin,
+        cavg_num=cavg_num,
+        dmax_x2=s - 2 * cmin,
+        davg_num_x2=s * deg.size - 2 * cavg_num,
     )
 
 

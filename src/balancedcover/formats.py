@@ -50,35 +50,46 @@ SUMMARY_COLUMNS = BENCH_COLUMNS[:7] + ("trials", "lpValue", "meanRoundedValue", 
 
 def format_matrix(instance: Instance, comments: tuple[str, ...] = ()) -> str:
     m, n = instance.num_clones, instance.num_probes
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"{m} {n}")
-    for i in range(m):
-        lines.append(" ".join(str(int(v)) for v in instance.adjacency[i]))
-    return "\n".join(lines) + "\n"
+    head = "".join(f"# {c}\n" for c in comments) + f"{m} {n}\n"
+    # each row is n digits, each followed by a space or, last, a newline
+    cells = np.full((m, 2 * n), ord(" "), dtype=np.uint8)
+    cells[:, ::2] = instance.adjacency + ord("0")
+    cells[:, -1] = ord("\n")
+    return head + cells.tobytes().decode("ascii")
 
 
 def parse_matrix(text: str, label: str = "matrix") -> np.ndarray:
+    lines = text.splitlines()
+    # the header is the first line that is neither blank nor a '#' comment
+    first = next((k for k, line in enumerate(lines) if line.strip() and not line.strip().startswith("#")), None)
+    if first is None:
+        raise InputError(f"{label}: empty matrix file")
+    tokens = lines[first].split()
+    if len(tokens) != 2:
+        raise InputError(f"{label}: line {first + 1}: header must be 'm n'")
+    try:
+        m, n = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise InputError(f"{label}: line {first + 1}: header must be two integers") from None
+    if m < 1 or n < 1:
+        raise InputError(f"{label}: line {first + 1}: dimensions must be positive")
+    body = lines[first + 1 :]
+    # rows laid out as format_matrix writes them read in one pass
+    cells = np.frombuffer(("\n".join(body) + "\n").encode(), dtype=np.uint8)
+    if cells.size == m * 2 * n:
+        cells = cells.reshape(m, 2 * n)
+        digits = cells[:, ::2] - np.uint8(ord("0"))
+        if (digits <= 1).all() and (cells[:, 1:-1:2] == ord(" ")).all() and (cells[:, -1] == ord("\n")).all():
+            return digits.astype(np.int8)
+    # anything else goes row by row, so a bad row is named by its line
     rows = []
-    header: tuple[int, int] | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(body, start=first + 2):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         tokens = stripped.split()
-        if header is None:
-            if len(tokens) != 2:
-                raise InputError(f"{label}: line {lineno}: header must be 'm n'")
-            try:
-                header = (int(tokens[0]), int(tokens[1]))
-            except ValueError:
-                raise InputError(f"{label}: line {lineno}: header must be two integers") from None
-            if header[0] < 1 or header[1] < 1:
-                raise InputError(f"{label}: line {lineno}: dimensions must be positive")
-            continue
-        if len(tokens) != header[1]:
-            raise InputError(
-                f"{label}: line {lineno}: expected {header[1]} entries, got {len(tokens)}"
-            )
+        if len(tokens) != n:
+            raise InputError(f"{label}: line {lineno}: expected {n} entries, got {len(tokens)}")
         if not _BINARY_TOKENS.issuperset(tokens):
             # a token such as "01" or "+1" still reads as the integer it spells
             try:
@@ -89,14 +100,12 @@ def parse_matrix(text: str, label: str = "matrix") -> np.ndarray:
                 raise InputError(f"{label}: line {lineno}: entries must be 0 or 1")
             tokens = [str(v) for v in values]
         rows.append("".join(tokens))
-        if len(rows) > header[0]:
-            raise InputError(f"{label}: more than {header[0]} matrix rows")
-    if header is None:
-        raise InputError(f"{label}: empty matrix file")
-    if len(rows) != header[0]:
-        raise InputError(f"{label}: expected {header[0]} rows, found {len(rows)}")
+        if len(rows) > m:
+            raise InputError(f"{label}: more than {m} matrix rows")
+    if len(rows) != m:
+        raise InputError(f"{label}: expected {m} rows, found {len(rows)}")
     digits = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
-    return (digits - ord("0")).astype(np.int8).reshape(header)
+    return (digits - ord("0")).astype(np.int8).reshape(m, n)
 
 
 def format_names(instance: Instance) -> str:

@@ -26,6 +26,10 @@ from .core import Instance
 from .errors import InputError
 
 _NON_ACGT = re.compile("[^ACGT]")
+# the ASCII line breaks str.splitlines knows besides "\n", and the ASCII
+# whitespace that is no line break
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+_BLANKS = " \t\x1f"
 # 'N' stands for an unknown base and complements to itself.
 _COMPLEMENT = str.maketrans("ACGTN", "TGCAN")
 
@@ -240,8 +244,42 @@ def build_instance(
     )
 
 
+def _plain_fasta(text: str) -> list[SequenceRecord] | None:
+    """The records of ASCII FASTA whose lines end in a bare newline, split on the headers in one pass.
+
+    None when a line would need the line-by-line reader: another line
+    break, whitespace around a sequence line, data before the first
+    header, an empty name or a record without a sequence.
+    """
+    if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
+        return None
+    head, *parts = ("\n" + text).split("\n>")
+    if head.strip() or not parts:
+        return None
+    records = []
+    for part in parts:
+        name, _, body = part.partition("\n")
+        name, seq = name.strip(), body.replace("\n", "")
+        if not name or not seq or any(c in seq for c in _BLANKS):
+            return None
+        records.append(SequenceRecord(name, seq))
+    return records
+
+
 def parse_fasta(text: str, label: str = "input") -> list[SequenceRecord]:
     """Parse FASTA text into records; sequences stay raw (not normalized)."""
+    records = _plain_fasta(text)
+    if records is None:
+        records = _fasta_lines(text, label)
+    counts = Counter(r.name for r in records)
+    if len(counts) != len(records):
+        dup = next(r.name for r in records if counts[r.name] > 1)
+        raise InputError(f"{label}: duplicate record name {dup!r}")
+    return records
+
+
+def _fasta_lines(text: str, label: str) -> list[SequenceRecord]:
+    """The records of any FASTA text, read line by line so that an error names its line."""
     records: list[SequenceRecord] = []
     name: str | None = None
     chunks: list[str] = []
@@ -271,10 +309,6 @@ def parse_fasta(text: str, label: str = "input") -> list[SequenceRecord]:
     flush()
     if not records:
         raise InputError(f"{label}: no FASTA records found")
-    counts = Counter(r.name for r in records)
-    if len(counts) != len(records):
-        dup = next(r.name for r in records if counts[r.name] > 1)
-        raise InputError(f"{label}: duplicate record name {dup!r}")
     return records
 
 

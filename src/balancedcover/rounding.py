@@ -20,6 +20,17 @@ selection under the target objective (ties to the earliest trial).
 Trial t always sees the generator seeded from (seed, t), so rerunning
 with more restarts reproduces the earlier trials exactly.
 
+The trials run in blocks (at most ``_BLOCK_CELLS`` trial x clone cells
+each, and as many trial x probe cells, so memory does not grow with
+``restarts``), stage by stage: every
+draw of the block, then every drop and fill, then every pad.  Each
+trial owns its generator and makes the same calls in the same order as
+it would alone (one ``random(m)`` for the draw, then at most one
+uniform pick for its drop, fill or random pad), so no trial's stream
+depends on the block it runs in.  A block holds its selections as one
+0/1 matrix S, and every stage reads all its degree vectors off one
+``S @ A`` product.
+
 A repair policy is a ranking of the clones.  ``random`` has none: the
 repair draws the clones it drops or adds uniformly.  ``lowest-fraction``
 ranks by x*: a drop takes the smallest x* first, a fill the largest
@@ -28,10 +39,15 @@ first, ties to the lowest clone index.
 Repair never adds clones for the rcm family, so selections can end
 below s; the pad policy then optionally tops the selection up to s with
 random clones, or greedily: one clone at a time, the clone that most
-improves the objective, ties to the lowest clone index.  Padding trades
-the guarantees of the analysis (which describe the pre-pad selection)
-for full-size selections and can move any objective either way, so the
-report records the objective both before and after it.
+improves the objective, ties to the lowest clone index.  The greedy pad
+steps every short trial of a block together: a cavg step scores every
+candidate by one matmul of the probes' gains, and a cmin step by one
+matmul with three probe-indicator columns per trial, because a
+candidate can move the minimum M0 only to M0 - 1, M0 or M0 + 1.
+Padding trades the guarantees of the analysis (which describe the
+pre-pad selection) for full-size selections and can move any objective
+either way, so the report records the objective both before and after
+it.
 
 Trials are scored on integer degree vectors, and compared on the
 integer objective score, whose denominator is the same for every
@@ -147,6 +163,14 @@ class RoundingReport:
         return tuple(o.violations_repaired for o in self.outcomes)
 
 
+# at most this many trial x clone (or trial x probe) cells per block of trials,
+# so a run of any length holds a bounded working set
+_BLOCK_CELLS = 1 << 17
+# OpenBLAS runs a matrix product of fewer multiply-adds than this on the
+# calling thread; a larger one wakes worker threads, which stall for
+# milliseconds when other processes hold the cores
+_PRODUCT_MACS = 1 << 19
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -193,9 +217,20 @@ def _probabilities(algorithm: Algorithm, x_star: np.ndarray, z_star: float, num_
     return x_star, None
 
 
-def _score(adjacency: np.ndarray, selected: np.ndarray, s: int, kind: ObjectiveKind) -> int:
-    """Integer objective score of a selection (see ``objective_scores``)."""
-    return int(objective_scores(adjacency[selected].sum(axis=0, dtype=np.int64), s, kind))
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` in float64, in row chunks of fewer than ``_PRODUCT_MACS`` multiply-adds each."""
+    rows = max(1, (_PRODUCT_MACS - 1) // (x.shape[1] * y.shape[1]))
+    if x.shape[0] <= rows:
+        return np.matmul(x, y, dtype=np.float64)
+    out = np.empty((x.shape[0], y.shape[1]))
+    for first in range(0, x.shape[0], rows):
+        np.matmul(x[first : first + rows], y, out=out[first : first + rows])
+    return out
+
+
+def _scores(sel: np.ndarray, af: np.ndarray, s, kind: ObjectiveKind) -> np.ndarray:
+    """Integer objective scores of the stacked 0/1 selections ``sel``, one per row (see ``objective_scores``)."""
+    return objective_scores(_product(sel, af).astype(np.int64), s, kind)
 
 
 def _pick(pool: np.ndarray, count: int, rng: np.random.Generator, rank: np.ndarray | None) -> np.ndarray:
@@ -205,99 +240,117 @@ def _pick(pool: np.ndarray, count: int, rng: np.random.Generator, rank: np.ndarr
     return np.lexsort((pool, rank[pool]))[:count]
 
 
-def _add(selected: np.ndarray, count: int, rng: np.random.Generator, rank: np.ndarray | None, m: int) -> np.ndarray:
-    """``selected`` plus ``count`` clones picked (see ``_pick``) from those outside it, in index order."""
-    taken = np.zeros(m, dtype=bool)
-    taken[selected] = True
-    pool = np.flatnonzero(~taken)
-    return np.sort(np.concatenate([selected, pool[_pick(pool, count, rng, rank)]]))
+def _flip(row: np.ndarray, value: bool, count: int, rng: np.random.Generator, rank: np.ndarray | None) -> None:
+    """Flip ``count`` entries of the 0/1 ``row`` that read ``value``, picked (see ``_pick``) from those in index order."""
+    pool = np.flatnonzero(row == value)
+    row[pool[_pick(pool, count, rng, rank)]] = not value
 
 
 def _pad(
-    instance: Instance,
-    selected: np.ndarray,
+    sel: np.ndarray,
+    af: np.ndarray,
     s: int,
     kind: ObjectiveKind,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     policy: PadPolicy,
-) -> np.ndarray:
-    """Top ``selected`` up to s clones.  Only cmin and cavg selections are padded."""
-    need = s - selected.size
-    if need <= 0 or policy is PadPolicy.NONE:
-        return selected
+) -> None:
+    """Top every row of ``sel`` up to s clones, in place; row i draws from ``rngs[i]``.
+
+    The greedy pad runs in lock-step over the rows: each step adds to every
+    row still short the clone that best helps the objective, ties to the
+    lowest clone index.  A probe at degree d scores min(d, s - d), and a
+    candidate moves each probe it hits by gain = min(d + 1, s - d - 1) -
+    min(d, s - d), which is -1, 0 or +1.
+    """
+    need = s - sel.sum(axis=1)
     if policy is PadPolicy.RANDOM:
-        return _add(selected, need, rng, None, instance.num_clones)
-    # greedy: repeatedly add the clone that best helps the objective, ties
-    # to the lowest clone index.  A probe at degree d scores min(d, s - d);
-    # a candidate changes the degree of exactly the probes it hits.
-    a = instance.adjacency
-    if kind is ObjectiveKind.CAVG:
-        rows = a.astype(np.float64)
-    else:
-        hits = a.view(np.bool_)
-    deg = a[selected].sum(axis=0, dtype=np.int64)
-    taken = np.zeros(instance.num_clones, dtype=bool)
-    taken[selected] = True
-    for _ in range(need):
-        low0 = np.minimum(deg, s - deg)
-        low1 = np.minimum(deg + 1, s - deg - 1)
+        for i, count in enumerate(need.tolist()):
+            if count > 0:
+                _flip(sel[i], False, count, rngs[i], None)
+    if policy is not PadPolicy.GREEDY:
+        return
+    # rows sorted by need, most first, so the rows still short are a prefix
+    order = np.argsort(-need, kind="stable")
+    need, taken = need[order], sel[order]
+    deg = _product(taken, af)
+    for step in range(need.max(initial=0)):
+        live = int(np.count_nonzero(need > step))
+        d = deg[:live]
+        low = np.minimum(d, s - d)
+        gain = np.minimum(d + 1, s - d - 1) - low
         if kind is ObjectiveKind.CAVG:
             # the candidate's sum is the current sum plus its gains
-            score = rows @ (low1 - low0).astype(np.float64)
+            score = _product(gain, af.T)
         else:
-            score = np.where(hits, low1, low0).min(axis=1).astype(np.float64)
-        score[taken] = -np.inf
-        best = int(np.argmax(score))
-        taken[best] = True
-        deg += a[best]
-    return np.flatnonzero(taken)
+            # The minimum M0 moves by at most one: to M0 - 1 when the candidate
+            # lowers a probe at M0, to M0 + 1 when it raises every probe at M0
+            # and lowers none at M0 + 1, else it stays.
+            least = low.min(axis=1, keepdims=True)
+            floor = low == least
+            ind = np.concatenate([floor & (gain < 0), floor & (gain > 0), (low == least + 1) & (gain < 0)])
+            lowers, raises, tips = _product(ind, af.T).reshape(3, live, -1)
+            rise = (raises == floor.sum(axis=1, keepdims=True)) & (tips == 0)
+            score = rise.astype(np.float64) - (lowers > 0)
+        score[taken[:live]] = -np.inf
+        best = score.argmax(axis=1)
+        taken[np.arange(live), best] = True
+        d += af[best]
+    sel[order] = taken
 
 
-def _single_round(
-    instance: Instance,
+def _round_block(
+    af: np.ndarray,
     s: int,
     probs: np.ndarray,
     x_star: np.ndarray,
     kind: ObjectiveKind,
-    algorithm: Algorithm,
     config: RoundingConfig,
-    trial: int,
-) -> tuple[np.ndarray, int, RestartOutcome]:
-    """One trial: its final selection, integer score and outcome."""
-    rng, derived = _trial_rng(config.seed, trial)
-    a = instance.adjacency
-    m = instance.num_clones
-    den = objective_denominator(kind, instance.num_probes)
-    draw = rng.random(m) < probs
-    selected = np.flatnonzero(draw)
-    sampled = int(selected.size)
-    raw = _score(a, selected, sampled if kind.maximize else s, kind)
+    trials: range,
+) -> tuple[np.ndarray, np.ndarray, list[RestartOutcome]]:
+    """Run ``trials`` stage by stage: their final selections (one 0/1 row each), integer scores and outcomes."""
+    algorithm = config.algorithm
+    rngs, derived = zip(*(_trial_rng(config.seed, t) for t in trials))
+    m, n = af.shape
+    sel = np.empty((len(trials), m), dtype=bool)
+    u = np.empty(m)
+    for row, rng in zip(sel, rngs):
+        np.less(rng.random(out=u), probs, out=row)
+    sampled = sel.sum(axis=1)
+    raw = _scores(sel, af, sampled[:, None] if kind.maximize else s, kind)
 
     # every algorithm drops an excess; only rdm fills a shortfall (the others pad).
     # Ranked by x*, a drop takes the smallest first and a fill the largest.
     rank = None if config.repair_policy is RepairPolicy.RANDOM else x_star
-    excess = sampled - s
-    if excess > 0:
-        selected = np.delete(selected, _pick(selected, excess, rng, rank))
-    elif excess < 0 and algorithm is Algorithm.RDM:
-        selected = _add(selected, -excess, rng, None if rank is None else -rank, m)
-    repaired = abs(excess) if algorithm is Algorithm.RDM else max(excess, 0)
+    fill_rank = None if rank is None else -rank
+    excess = (sampled - s).tolist()
+    for i, count in enumerate(excess):
+        if count > 0:
+            _flip(sel[i], True, count, rngs[i], rank)
+        elif count < 0 and algorithm is Algorithm.RDM:
+            _flip(sel[i], False, -count, rngs[i], fill_rank)
+    repaired = [abs(c) if algorithm is Algorithm.RDM else max(c, 0) for c in excess]
 
-    pre_pad = _score(a, selected, s, kind)
-    if algorithm is not Algorithm.RDM:
-        selected = _pad(instance, selected, s, kind, rng, config.pad_policy)
-    final = _score(a, selected, s, kind)
-    outcome = RestartOutcome(
-        trial=trial,
-        derived_seed=derived,
-        sampled_size=sampled,
-        raw_value=raw / den,
-        violations_repaired=repaired,
-        pre_pad_value=pre_pad / den,
-        value=final / den,
-        selected_size=int(selected.size),
-    )
-    return selected, final, outcome
+    # only a padded block is scored again
+    final = pre_pad = _scores(sel, af, s, kind)
+    if algorithm is not Algorithm.RDM and config.pad_policy is not PadPolicy.NONE and min(excess) < 0:
+        _pad(sel, af, s, kind, rngs, config.pad_policy)
+        final = _scores(sel, af, s, kind)
+    den = objective_denominator(kind, n)
+    columns = zip(trials, derived, repaired, *(c.tolist() for c in (sampled, raw, pre_pad, final, sel.sum(axis=1))))
+    outcomes = [
+        RestartOutcome(
+            trial=t,
+            derived_seed=seed,
+            sampled_size=size,
+            raw_value=raw_score / den,
+            violations_repaired=fixed,
+            pre_pad_value=pre_score / den,
+            value=score / den,
+            selected_size=final_size,
+        )
+        for t, seed, fixed, size, raw_score, pre_score, score, final_size in columns
+    ]
+    return sel, final, outcomes
 
 
 def _lp_for(instance: Instance, s: int, algorithm: Algorithm, lp_solution: FractionalSolution | None) -> FractionalSolution:
@@ -332,22 +385,24 @@ def solve_end_to_end(
     x_star = np.clip(np.asarray(lp_solution.x, dtype=float), 0.0, 1.0)
     probs, eps_lambda = _probabilities(config.algorithm, x_star, float(lp_solution.z_star), instance.num_probes)
 
-    best_selected, best_score, best_trial = None, 0, -1
+    af = instance.adjacency.astype(np.float64)
+    block = max(1, _BLOCK_CELLS // max(af.shape))
+    best_row, best_score, best_trial = None, 0, -1
     outcomes = []
-    for t in range(config.restarts):
-        selected, score, outcome = _single_round(
-            instance, s, probs, x_star, kind, config.algorithm, config, trial=t
-        )
-        outcomes.append(outcome)
+    for first in range(0, config.restarts, block):
+        trials = range(first, min(first + block, config.restarts))
+        sel, scores, block_outcomes = _round_block(af, s, probs, x_star, kind, config, trials)
+        outcomes += block_outcomes
         # every trial's score has the same denominator; ties keep the earliest
-        if best_selected is None or (score > best_score if kind.maximize else score < best_score):
-            best_selected, best_score, best_trial = selected, score, t
+        i = int(np.argmax(scores) if kind.maximize else np.argmin(scores))
+        if best_row is None or (scores[i] > best_score if kind.maximize else scores[i] < best_score):
+            best_row, best_score, best_trial = sel[i], scores[i], trials[i]
     return RoundingReport(
         config=config,
         objective=kind,
         lp=lp_solution,
         epsilon_or_lambda=eps_lambda,
         outcomes=tuple(outcomes),
-        best=evaluate(instance, best_selected.tolist(), s),
+        best=evaluate(instance, np.flatnonzero(best_row).tolist(), s),
         best_trial=best_trial,
     )

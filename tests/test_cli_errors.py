@@ -12,10 +12,12 @@ import io
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
+from balancedcover import cli
 from balancedcover.cli import main
 from balancedcover.formats import names_path_for, write_matrix
 
@@ -260,3 +262,33 @@ class TestBadFlags:
             rc, err = run(fill_paths(argv, matrix, tmp))
             assert not (tmp / "out").exists()
         assert_one_error(rc, err)
+
+
+class TestUnwritableOut:
+    """gen and build-matrix refuse an unwritable matrix or names file before they do any work."""
+
+    WORKERS = ("build_instance", "gen_random", "gen_x3c", "gen_set_cover", "replicate_probes")
+
+    @pytest.mark.parametrize("command", ["build-matrix", *GEN])
+    @pytest.mark.parametrize("bad", ["out_dir_missing", "sidecar_is_directory"])
+    def test_refused_before_the_work(self, tmp_path, monkeypatch, command, bad):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the matrix was built before its output was checked")
+
+        for name in self.WORKERS:
+            monkeypatch.setattr(cli, name, no_work)
+        matrix = tmp_path / "g.matrix"
+        write_matrix(matrix, golden.instance())
+        argv = fill_paths(BUILD if command == "build-matrix" else GEN[command], matrix, tmp_path)
+        if bad == "out_dir_missing":
+            out = path = tmp_path / "missing" / "x.matrix"
+        else:
+            out = tmp_path / "x.matrix"
+            path = names_path_for(out)
+            path.mkdir()
+        argv[argv.index(tmp_path / "out")] = out
+        rc, err = run(argv)
+        assert rc == 2
+        assert_one_error(rc, err, path)
+        # the check leaves no file behind
+        assert not out.exists()

@@ -63,6 +63,30 @@ class TestMatrixFormat:
         assert text.startswith("# generator: random\n# note\n8 7\n")
         assert np.array_equal(parse_matrix(text), golden_instance.adjacency)
 
+    @pytest.mark.parametrize(
+        "layout", ["plain", "crlf", "comments", "mid_comment", "padded", "wide", "spelled", "blank_tail", "no_newline"]
+    )
+    def test_every_layout_reads_the_same_matrix(self, layout):
+        # the layout format_matrix writes reads in one array pass, any other row by row
+        rng = np.random.default_rng(11)
+        for m, n in ((1, 1), (3, 5), (40, 12)):
+            a = (rng.random((m, n)) < 0.5).astype(np.int8)
+            a[0, 0] = 1
+            rows = [" ".join(map(str, r)) for r in a.tolist()]
+            plain = format_matrix(Instance(a))
+            text = {
+                "plain": plain,
+                "crlf": plain.replace("\n", "\r\n"),
+                "comments": "# a\n\n# b\n" + plain,
+                "mid_comment": "\n".join([f"{m} {n}", *rows[:1], "# note", *rows[1:]]) + "\n",
+                "padded": "\n".join([f"{m} {n}", *(f"  {r} " for r in rows)]) + "\n",
+                "wide": "\n".join([f"{m} {n}", *(r.replace(" ", "  ") for r in rows)]) + "\n",
+                "spelled": "\n".join([f"{m} {n}", "01" + rows[0][1:], *rows[1:]]) + "\n",
+                "blank_tail": plain + "\n\n",
+                "no_newline": plain[:-1],
+            }[layout]
+            assert np.array_equal(parse_matrix(text), a)
+
     def test_blank_lines_tolerated(self):
         assert parse_matrix("\n2 2\n\n1 0\n# mid comment\n0 1\n\n").tolist() == [[1, 0], [0, 1]]
 

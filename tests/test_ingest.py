@@ -279,6 +279,29 @@ class TestParsers:
         records = parse_fasta(text)
         assert records == [SequenceRecord("c1", "ACGTACGT"), SequenceRecord("c2", "TT")]
 
+    @pytest.mark.parametrize(
+        "layout", ["wrapped", "unwrapped", "crlf", "blank_lines", "padded_lines", "indented_header", "tab_in_name"]
+    )
+    def test_fasta_every_layout_reads_the_same_records(self, layout):
+        # plain FASTA splits on its headers in one pass, any other layout goes line by line
+        records = [SequenceRecord("c1", "ACGTACGTAC"), SequenceRecord("c 2", "TTGA"), SequenceRecord("c3", "GA" * 65)]
+        def fasta(wrap=60, header=">{}", line="{}", sep="\n"):
+            lines = []
+            for r in records:
+                lines.append(header.format(r.name))
+                lines += [line.format(r.bases[k : k + wrap]) for k in range(0, len(r.bases), wrap)]
+            return sep.join(lines) + sep
+        text = {
+            "wrapped": fasta(),
+            "unwrapped": fasta(wrap=1000),
+            "crlf": fasta(sep="\r\n"),
+            "blank_lines": "\n\n" + fasta().replace("\n>", "\n\n>"),
+            "padded_lines": fasta(line="{}  "),
+            "indented_header": fasta(header="  > {} "),
+            "tab_in_name": fasta(header=">{}\t"),
+        }[layout]
+        assert parse_fasta(text) == records
+
     def test_fasta_missing_header(self):
         with pytest.raises(InputError):
             parse_fasta("ACGT\n")

@@ -23,12 +23,12 @@ from balancedcover import (
 )
 from balancedcover.lp import FractionalSolution
 from balancedcover.simplex import SimplexResult
+from balancedcover import rounding
 from balancedcover.rounding import (
     ALGORITHM_FORMULATION,
     ALGORITHM_OBJECTIVE,
-    _add,
+    _flip,
     _pad,
-    _pick,
     _probabilities,
     shrink_parameter,
 )
@@ -49,6 +49,23 @@ def fake_lp(formulation, z_star, x):
         dual_iterations=0,
     )
     return FractionalSolution(formulation, z_star, x, stats)
+
+
+def pad_rows(adjacency, starts, s, kind, policy, rngs=None):
+    """Pad one block of selections, one 0/1 row per start, with ``_pad``; the padded selections."""
+    a = np.asarray(adjacency)
+    sel = np.zeros((len(starts), a.shape[0]), dtype=bool)
+    for row, start in zip(sel, starts):
+        row[list(start)] = True
+    rngs = rngs or [np.random.default_rng(0) for _ in starts]
+    _pad(sel, a.astype(np.float64), s, kind, rngs, policy)
+    return [np.flatnonzero(row).tolist() for row in sel]
+
+
+def selection_row(selected, m):
+    row = np.zeros(m, dtype=bool)
+    row[list(selected)] = True
+    return row
 
 
 def reference_splitmix64(seed, trial):
@@ -196,6 +213,20 @@ class TestDeterminism:
         assert a.best == b.best
         assert a.best_trial == b.best_trial
 
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    @pytest.mark.parametrize("pad", list(PadPolicy))
+    def test_restart_prefix_across_blocks(self, golden_instance, monkeypatch, algorithm, pad):
+        # Trials run in blocks (of 3 here): a run of one trial, one block and
+        # several blocks, the last one partial, agree trial by trial.
+        config = RoundingConfig(algorithm, seed=29, restarts=10, pad_policy=pad)
+        whole = solve_end_to_end(golden_instance, 6, config)
+        monkeypatch.setattr(rounding, "_BLOCK_CELLS", 3 * max(golden_instance.adjacency.shape))
+        for restarts in (1, 3, 10):
+            report = solve_end_to_end(golden_instance, 6, RoundingConfig(algorithm, seed=29, restarts=restarts,
+                                                                          pad_policy=pad))
+            assert report.outcomes == whole.outcomes[:restarts]
+        assert (report.best, report.best_trial) == (whole.best, whole.best_trial)
+
     def test_restart_prefix_property(self, golden_instance):
         # Trial t depends only on (seed, t): asking for more restarts
         # reproduces the earlier trials bit for bit.
@@ -267,64 +298,48 @@ class TestLpDominance:
 
 
 class TestRepairPolicies:
-    """A drop deletes the picked positions with rank x*; a fill adds the picked clones with rank -x*."""
+    """A drop clears the picked selected clones with rank x*; a fill sets the picked others with rank -x*."""
 
     def test_drop_excess_lowest_fraction(self):
-        selected = np.array([0, 1, 2, 3])
+        row = selection_row([0, 1, 2, 3], 4)
         x_star = np.array([0.9, 0.1, 0.5, 0.1])
-        rng = np.random.default_rng(0)
-        kept = np.delete(selected, _pick(selected, 2, rng, x_star))
-        assert kept.tolist() == [0, 2]
+        _flip(row, True, 2, np.random.default_rng(0), x_star)
+        assert np.flatnonzero(row).tolist() == [0, 2]
 
     def test_drop_excess_tie_breaks_by_index(self):
-        selected = np.array([3, 5, 7])
-        x_star = np.zeros(8)
-        rng = np.random.default_rng(0)
-        kept = np.delete(selected, _pick(selected, 1, rng, x_star))
-        assert kept.tolist() == [5, 7]
+        row = selection_row([3, 5, 7], 8)
+        _flip(row, True, 1, np.random.default_rng(0), np.zeros(8))
+        assert np.flatnonzero(row).tolist() == [5, 7]
 
     def test_fill_shortfall_highest_fraction(self):
-        selected = np.array([0])
+        row = selection_row([0], 4)
         x_star = np.array([1.0, 0.2, 0.9, 0.4])
-        rng = np.random.default_rng(0)
-        filled = _add(selected, 2, rng, -x_star, 4)
-        assert filled.tolist() == [0, 2, 3]
+        _flip(row, False, 2, np.random.default_rng(0), -x_star)
+        assert np.flatnonzero(row).tolist() == [0, 2, 3]
 
     def test_random_drop_count(self):
-        selected = np.arange(10)
-        rng = np.random.default_rng(4)
-        kept = np.delete(selected, _pick(selected, 3, rng, None))
-        assert kept.size == 7
-        assert set(kept.tolist()) <= set(range(10))
+        row = np.ones(10, dtype=bool)
+        _flip(row, True, 3, np.random.default_rng(4), None)
+        assert row.sum() == 7
 
 
 class TestPadPolicies:
     def test_greedy_picks_objective_best(self):
         # selected = {0} covers only probe 1; adding clone 2 balances
         # both probes while clone 1 saturates the first.
-        inst = Instance(np.array([[1, 0], [1, 0], [0, 1]], dtype=np.int8))
-        rng = np.random.default_rng(0)
-        out = _pad(inst, np.array([0]), 2, ObjectiveKind.CMIN, rng, PadPolicy.GREEDY)
-        assert out.tolist() == [0, 2]
+        a = np.array([[1, 0], [1, 0], [0, 1]])
+        assert pad_rows(a, [[0]], 2, ObjectiveKind.CMIN, PadPolicy.GREEDY) == [[0, 2]]
 
     def test_greedy_tie_breaks_by_index(self):
-        inst = Instance(np.ones((3, 1), dtype=np.int8))
-        rng = np.random.default_rng(0)
-        out = _pad(inst, np.array([], dtype=np.intp), 1, ObjectiveKind.CMIN, rng, PadPolicy.GREEDY)
-        assert out.tolist() == [0]
+        assert pad_rows(np.ones((3, 1)), [[]], 1, ObjectiveKind.CMIN, PadPolicy.GREEDY) == [[0]]
 
     def test_none_leaves_selection(self):
-        inst = Instance(np.ones((3, 1), dtype=np.int8))
-        rng = np.random.default_rng(0)
-        out = _pad(inst, np.array([1]), 3, ObjectiveKind.CMIN, rng, PadPolicy.NONE)
-        assert out.tolist() == [1]
+        assert pad_rows(np.ones((3, 1)), [[1]], 3, ObjectiveKind.CMIN, PadPolicy.NONE) == [[1]]
 
     def test_random_pad_fills_to_s(self):
-        inst = Instance(np.ones((5, 2), dtype=np.int8))
-        rng = np.random.default_rng(0)
-        out = _pad(inst, np.array([4]), 3, ObjectiveKind.CMIN, rng, PadPolicy.RANDOM)
-        assert out.size == 3
-        assert 4 in out.tolist()
+        [out] = pad_rows(np.ones((5, 2)), [[4]], 3, ObjectiveKind.CMIN, PadPolicy.RANDOM)
+        assert len(out) == 3
+        assert 4 in out
 
 
 class TestDegenerateCases:
@@ -695,6 +710,8 @@ def tie_heavy_matrix(rng, m, n):
 
 
 class TestGreedyPadReference:
+    """The lock-step greedy pad against the pad that rebuilds every candidate's degrees."""
+
     @pytest.mark.parametrize("kind", [ObjectiveKind.CMIN, ObjectiveKind.CAVG])
     @pytest.mark.parametrize("tie_heavy", [False, True])
     def test_matches_rebuild_every_step(self, kind, tie_heavy):
@@ -711,11 +728,25 @@ class TestGreedyPadReference:
                 start = np.sort(rng.choice(m, size=int(rng.integers(0, s)), replace=False)).astype(np.intp)
                 pad_rng = np.random.default_rng(0)
                 state = pad_rng.bit_generator.state
-                out = _pad(inst, start, s, kind, pad_rng, PadPolicy.GREEDY)
-                assert out.tolist() == reference_greedy_pad(a, start.tolist(), s, kind)
+                out = pad_rows(a, [start], s, kind, PadPolicy.GREEDY, [pad_rng])
+                assert out == [reference_greedy_pad(a, start.tolist(), s, kind)]
                 assert pad_rng.bit_generator.state == state
                 cases += 1
         assert cases > 100
+
+    @pytest.mark.parametrize("kind", [ObjectiveKind.CMIN, ObjectiveKind.CAVG])
+    def test_one_block_of_mixed_start_sizes(self, kind):
+        # the rows of one block start at different sizes, from empty to full,
+        # so some finish padding while others still take steps
+        rng = np.random.default_rng(77)
+        for _ in range(40):
+            m, n = int(rng.integers(4, 40)), int(rng.integers(1, 12))
+            a = tie_heavy_matrix(rng, m, n)
+            s = int(rng.integers(2, m + 1))
+            sizes = [0, s, *rng.integers(0, s + 1, size=6).tolist()]
+            starts = [np.sort(rng.choice(m, size=k, replace=False)).tolist() for k in sizes]
+            out = pad_rows(a, starts, s, kind, PadPolicy.GREEDY)
+            assert out == [reference_greedy_pad(a, start, s, kind) for start in starts]
 
 
 class TestScoringAgreement:
