@@ -67,6 +67,9 @@ def normalize_bases(raw: str, policy: AmbiguityPolicy = AmbiguityPolicy.REJECT, 
     character becomes 'N'.
     """
     bases = raw.upper()
+    # one C-level pass accepts a clean record; the regex only finds or replaces bad bases
+    if bases.isascii() and not bases.encode("ascii").translate(None, b"ACGT"):
+        return bases
     if policy is AmbiguityPolicy.NEVER_MATCH:
         return _NON_ACGT.sub("N", bases)
     bad = _NON_ACGT.search(bases)

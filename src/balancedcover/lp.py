@@ -19,7 +19,7 @@ reference for other solvers), but ``solve_formulation`` and
 the same s (``maxlp_from_minlp``).  AVGLP is solved as the equivalent
 least-absolute-deviation fit of n + 2 rows in place of 2n + 1
 (``_build_l1_avglp``).  So every LP the simplex solves has only ``<=``
-rows and starts from the slack basis.
+rows and starts from the slack basis or, in a sweep, the last optimal basis.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import Instance, _check_budget
 from .errors import InputError, SolverError
-from .simplex import TOLERANCE, SimplexResult, solve_simplex
+from .simplex import TOLERANCE, SimplexResult, solve_simplex, solve_simplex_sweep
 
 
 class Formulation(Enum):
@@ -95,8 +95,7 @@ class FractionalSolution:
     """Optimal LP value and the fractional selection vector x*.
 
     ``z_star`` is a float normally, a Fraction when solved exactly.
-    ``stats`` is the simplex's result: its diagnostics, and the optimal
-    basis, which can start a solve of the same LP at another s.
+    ``stats`` is the simplex's result: its diagnostics and the optimal basis.
     """
 
     formulation: Formulation
@@ -222,25 +221,21 @@ def _crash_start(problem: LpProblem) -> list[int]:
     return _crash_clones(problem.num_selection_vars, int(problem.rhs[-1]))
 
 
-def solve_lp(problem: LpProblem, *, exact: bool = False, start: SimplexResult | None = None) -> FractionalSolution:
+def solve_lp(problem: LpProblem, *, exact: bool = False) -> FractionalSolution:
     """Solve an LP of ``<=`` rows and report the scaled optimum and x* slice.
 
-    ``solve_formulation`` and ``solve_sweep`` pass a built MinLP or the L1
-    AvgLP (``_build_l1_avglp``); a textbook AvgLP from ``build_lp`` solves
-    to the same optimum.
+    ``solve_formulation`` passes a built MinLP or the L1 AvgLP
+    (``_build_l1_avglp``); a textbook AvgLP from ``build_lp`` solves to the
+    same optimum.
 
     Repeated calls on an equal problem return bit-identical results:
     the solver's pivot rules are deterministic and depend only on the
-    problem data (and ``start``).
+    problem data.
 
     A solve starts from the slack basis with the ``_crash_start`` clones at
     1, which is primal feasible, so it runs primal pivots only; exact mode
-    takes the same start.  A float solve may instead start from ``start``,
-    the stats of a float solve of the same LP with another right-hand side:
-    the simplex runs dual pivots from that solve's optimal basis, then
-    primal ones.  The optimum is the same either way; x* may be another
-    optimal vertex.  A problem with a row other than ``<=`` (a built MaxLP)
-    is refused.
+    takes the same start.  A problem with a row other than ``<=`` (a built
+    MaxLP) is refused.
 
     The returned x* is certified: a constraint or bound violated by more
     than 1e-7 * max(1, max |rhs|) raises SolverError naming the LP and the
@@ -248,10 +243,6 @@ def solve_lp(problem: LpProblem, *, exact: bool = False, start: SimplexResult | 
     """
     if set(problem.relations) != {"<="}:
         raise SolverError(f"{problem.label}: solve_lp solves <= rows only; read MaxLP off MinLP")
-    if start is not None:
-        basis, at_upper = start.basis, start.at_upper
-    else:
-        basis, at_upper = None, _crash_start(problem)
     res = solve_simplex(
         problem.c,
         problem.A,
@@ -260,9 +251,13 @@ def solve_lp(problem: LpProblem, *, exact: bool = False, start: SimplexResult | 
         problem.upper,
         maximize=problem.maximize,
         exact=exact,
-        at_upper=at_upper,
-        basis=basis,
+        at_upper=_crash_start(problem),
     )
+    return _certified(problem, res)
+
+
+def _certified(problem: LpProblem, res: SimplexResult) -> FractionalSolution:
+    """The solution of ``problem`` that ``res`` holds, once it passes ``solve_lp``'s certificate."""
     limit = 1e-7 * max(1.0, float(np.abs(problem.rhs).max()))
     for what, value in (("primal", res.residual_primal), ("bound", res.residual_bound)):
         if value > limit:
@@ -310,10 +305,11 @@ def maxlp_from_minlp(minlp: FractionalSolution, s: int) -> FractionalSolution:
 def solve_sweep(instance: Instance, s_values, formulation: Formulation) -> list[FractionalSolution]:
     """Solve one relaxation at every s in ``s_values``, in order, in float mode.
 
-    The first s starts from the crash basis.  s enters the LP only through
-    the right-hand side (an AvgLP sweep keeps the first s's signs, see
-    ``_build_l1_avglp``), so each solve after it starts from the previous
-    optimal basis (``solve_lp``'s ``start``).  Each z* equals a standalone
+    s enters the LP only through the right-hand side (an AvgLP sweep keeps
+    the first s's signs, see ``_build_l1_avglp``), so one simplex engine
+    solves every s (``solve_simplex_sweep``): the first from the crash
+    basis, each later one from the previous optimal basis.  Each LP is built
+    when its s is handed to the engine.  Each z* equals a standalone
     ``solve_formulation`` up to float rounding and passes the same residual
     certificate; x* may be another optimal vertex, which depends on the s
     values solved before it.  A MaxLP sweep is read off the MinLP sweep.
@@ -322,10 +318,16 @@ def solve_sweep(instance: Instance, s_values, formulation: Formulation) -> list[
     if formulation is Formulation.MAXLP:
         minlp = solve_sweep(instance, s_values, Formulation.MINLP)
         return [maxlp_from_minlp(sol, s) for s, sol in zip(s_values, minlp)]
-    solutions: list[FractionalSolution] = []
-    for s in s_values:
-        start = solutions[-1].stats if solutions else None
-        solutions.append(solve_lp(_solved_lp(instance, s, formulation, s_values[0]), start=start))
+    if not s_values:
+        return []
+    first = _solved_lp(instance, s_values[0], formulation, s_values[0])
+    engine = solve_simplex_sweep(
+        first.c, first.A, first.rhs, first.lower, first.upper, maximize=first.maximize, at_upper=_crash_start(first)
+    )
+    solutions = [_certified(first, next(engine))]
+    for s in s_values[1:]:
+        problem = _solved_lp(instance, s, formulation, s_values[0])
+        solutions.append(_certified(problem, engine.send(problem.rhs)))
     return solutions
 
 

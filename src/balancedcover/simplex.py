@@ -1,4 +1,4 @@
-"""Dense bounded simplex for `<=` rows, from the slack basis or a warm basis.
+"""Dense bounded simplex for `<=` rows, from the slack basis or, over a sweep, a warm basis.
 
 Solves   min/max  c.x   s.t.  A x <= rhs,  lower <= x <= upper
 
@@ -47,27 +47,25 @@ That start must be primal feasible, every slack nonnegative; a start
 that violates a row raises SolverError naming the row.  Only the primal
 loop runs from it.
 
-A float solve may instead start from a given ``basis`` (warm start),
-with its nonbasic columns in ``at_upper`` at their upper bound: the
-optimal basis of the same LP with another right-hand side.  The engine
-puts each nonbasic column at its bound, refactorizes, and runs dual
-simplex pivots until every basic value lies within its bounds up to the
-reduced-cost tolerance, then the primal loop.  The dual pivots rely on
-a dual feasible start, which an optimal basis stays when only the
-right-hand side moves.  The leaving row is the one with the largest
-infeasibility (ties to the lowest row); with alpha = B^-1[r] T0 its
-pivot row, the entering column minimizes |d_j / alpha_j| over the
-nonbasic columns whose move restores that row (ties to the lowest
-column).  There is no bound flipping.  Most reduced costs of these LPs
-are 0, and with the true costs such ties made the dual simplex cycle
-until the iteration limit, so the dual phase prices with each nonbasic
-cost moved away from 0 on its dual feasible side by
-U(1e-7, 1e-6) * (1 + |c_j|), drawn from a fixed-seed generator, as
-cost_j + sign_j * delta_j.  Its eligible columns are those with
+``solve_simplex_sweep`` solves one float LP for a sequence of
+right-hand sides on one engine.  The first solve is the one above; for
+each later one the engine swaps in the new right-hand side, refactorizes
+the optimal basis, which stays dual feasible when only the right-hand
+side moves, and runs dual simplex pivots until every basic value lies
+within its bounds up to the reduced-cost tolerance, then the primal loop.
+The leaving row is the one with the largest infeasibility (ties to the
+lowest row); with alpha = B^-1[r] T0 its pivot row, the entering column
+minimizes |d_j / alpha_j| over the nonbasic columns whose move restores
+that row (ties to the lowest column).  There is no bound flipping.  Most
+reduced costs of these LPs are 0, and with the true costs such ties made
+the dual simplex cycle until the iteration limit, so the dual phase
+prices with each nonbasic cost moved away from 0 on its dual feasible
+side by U(1e-7, 1e-6) * (1 + |c_j|), drawn from a fixed-seed generator,
+as cost_j + sign_j * delta_j.  Its eligible columns are those with
 sign_j * alpha_j on the restoring side.  The primal loop then runs on
 the true costs: it confirms optimality, or pivots on the few reduced
-costs the perturbation left on the wrong side.  Exact mode takes no
-warm basis: the perturbation is a float.
+costs the perturbation left on the wrong side.  A sweep has no exact
+mode: the perturbation is a float.
 """
 
 from __future__ import annotations
@@ -91,9 +89,9 @@ class SimplexResult:
     ``objective`` is in the caller's sense (max problems report the max).
     Residuals are absolute: constraint violation, bound violation, and
     worst wrong-sign reduced cost at the final basis.  In exact mode
-    ``x`` holds Fractions and ``objective`` is a Fraction.  ``basis`` and
-    ``at_upper`` (the nonbasic columns at their upper bound) can start a
-    float solve of the same LP with another right-hand side.
+    ``x`` holds Fractions and ``objective`` is a Fraction.  ``basis`` is
+    the optimal basis, one column per row, and ``at_upper`` the nonbasic
+    columns at their upper bound.
     """
 
     x: np.ndarray
@@ -108,41 +106,38 @@ class SimplexResult:
 
 
 def solve_simplex(
-    c,
-    A,
-    rhs,
-    lower,
-    upper,
-    *,
-    maximize: bool = False,
-    exact: bool = False,
-    max_iterations: int | None = None,
-    at_upper=(),
-    basis=None,
+    c, A, rhs, lower, upper, *, maximize: bool = False, exact: bool = False, max_iterations: int | None = None, at_upper=()
 ) -> SimplexResult:
-    """Solve ``A x <= rhs`` from the slack basis, or in float mode from a warm ``basis``.
+    """Solve ``A x <= rhs`` from the slack basis.
 
-    ``at_upper`` lists the nonbasic columns (structural and slack) that start at their
-    upper bound.  ``iterations`` counts every pivot and bound flip, ``dual_iterations``
-    the dual simplex pivots among them.
+    ``at_upper`` lists the structural columns that start at their upper bound.
+    ``iterations`` counts every pivot and bound flip.
     """
-    return _Engine(c, A, rhs, lower, upper, maximize, exact, max_iterations, at_upper, basis).solve()
+    return _Engine(c, A, rhs, lower, upper, maximize, exact, max_iterations, at_upper).solve()
 
 
-def _fraction_or_inf(v):
-    f = float(v)
-    return f if math.isinf(f) else Fraction(v)
+def solve_simplex_sweep(c, A, rhs, lower, upper, *, maximize: bool = False, at_upper=()):
+    """Solve one float LP for a sequence of right-hand sides, handed in one at a time.
+
+    ``next`` on the returned generator gives ``solve_simplex``'s result at ``rhs``; each
+    ``send(rhs)`` after it gives the result at that right-hand side (``_Engine.resolve``),
+    where ``dual_iterations`` counts the dual pivots among ``iterations``.
+    """
+    engine = _Engine(c, A, rhs, lower, upper, maximize, False, None, at_upper)
+    rhs = yield engine.solve()
+    while True:
+        rhs = yield engine.resolve(rhs)
 
 
-def _to_exact(arr) -> np.ndarray:
-    src = np.asarray(arr)
-    out = np.empty(src.size, dtype=object)
-    out[:] = [_fraction_or_inf(v) for v in src.ravel().tolist()]
-    return out.reshape(src.shape)
+def _to_exact(arr: np.ndarray) -> np.ndarray:
+    """A float array as Fractions, with an infinite bound kept as float inf."""
+    out = np.empty(arr.size, dtype=object)
+    out[:] = [v if math.isinf(v) else Fraction(v) for v in arr.ravel().tolist()]
+    return out.reshape(arr.shape)
 
 
 class _Engine:
-    def __init__(self, c, A, rhs, lower, upper, maximize, exact, max_iterations, at_upper, basis):
+    def __init__(self, c, A, rhs, lower, upper, maximize, exact, max_iterations, at_upper):
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] < 1:
             raise SolverError("constraint matrix must be 2-d with at least one row")
@@ -159,11 +154,13 @@ class _Engine:
             raise SolverError("lower bounds must be finite")
         if (lower > upper).any():
             raise SolverError("lower bound exceeds upper bound")
-        self.warm = basis is not None
-        if exact and self.warm:
-            raise SolverError("exact mode starts from the slack basis, not a given basis")
+        at_upper = np.array(at_upper, dtype=np.intp)
+        structural = ((at_upper >= 0) & (at_upper < nstruct)).all() and len(set(at_upper.tolist())) == at_upper.size
+        if not (structural and np.isfinite(upper[at_upper]).all()):
+            raise SolverError("start is not a basis over this LP's structural and slack columns")
 
-        self.orig = (A, rhs, lower, upper)
+        # float copies for the residuals; the right-hand side is read from self.rhs
+        self.orig = (A, lower, upper)
         self.exact = bool(exact)
         self.nrows = nrows
         self.nstruct = nstruct
@@ -172,16 +169,7 @@ class _Engine:
         W = np.concatenate([A, np.eye(nrows)], axis=1)
         lb = np.concatenate([lower, np.zeros(nrows)])
         ub = np.concatenate([upper, np.full(nrows, math.inf)])
-        basis = np.arange(nstruct, ncols) if basis is None else np.array(basis, dtype=np.intp)
-        at_upper = np.array(at_upper, dtype=np.intp)
-        cols = np.concatenate([basis, at_upper])
-        if (
-            basis.shape != (nrows,)
-            or not ((cols >= 0) & (cols < ncols)).all()
-            or len(set(cols.tolist())) != cols.size
-            or not np.isfinite(ub[at_upper]).all()
-        ):
-            raise SolverError("start is not a basis over this LP's structural and slack columns")
+        basis = np.arange(nstruct, ncols)
         sense = -1.0 if maximize else 1.0
         cost = np.concatenate([sense * c, np.zeros(nrows)])
 
@@ -202,7 +190,7 @@ class _Engine:
 
         self.rhs = rhs
         self.T0 = W
-        # B^-1 of the slack basis is the identity; a warm basis refactorizes below
+        # B^-1 of the slack basis is the identity
         self.Binv = np.eye(nrows) if not exact else _to_exact(np.eye(nrows))
         self.lb = lb
         self.ub = ub
@@ -212,30 +200,36 @@ class _Engine:
         self.vals = vals
         self.sign = sign
         self.basis = basis
-        # with every slack at 0 in vals these are the slack values; a warm start refactorizes below
+        # with every slack at 0 in vals these are the slack values
         self.xB = rhs - W.dot(vals)
-        self.iterations = 0
-        self.dual_iterations = 0
+        self.iterations = self.dual_iterations = 0
         # a float solve switches to Bland's rule after this many degenerate pivots in a row
         self.degen_limit = 100 + nrows
-        self.max_iterations = (
-            int(max_iterations) if max_iterations is not None else 200 * (nrows + ncols) + 5000
-        )
-        if self.warm:
-            if not self._refactor():
-                raise SolverError("start basis is singular")
-        else:
-            bad = np.flatnonzero(self.xB < -self.tol)
-            if bad.size:
-                r = int(bad[0])
-                raise SolverError(f"slack start violates row {r} (slack {float(self.xB[r]):.3e})")
+        self.max_iterations = 200 * (nrows + ncols) + 5000 if max_iterations is None else int(max_iterations)
+        bad = np.flatnonzero(self.xB < -self.tol)
+        if bad.size:
+            r = int(bad[0])
+            raise SolverError(f"slack start violates row {r} (slack {float(self.xB[r]):.3e})")
 
     # ------------------------------------------------------------------
 
     def solve(self) -> SimplexResult:
-        if self.warm:
-            self._run_dual()
         return self._finish(self._run(self.cost))
+
+    def resolve(self, rhs) -> SimplexResult:
+        """Solve again in float mode with the right-hand side ``rhs``, from the last optimal basis.
+
+        The iteration counts, and with them ``_tick``'s refactorization clock, restart at 0.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (self.nrows,) or not np.isfinite(rhs).all():
+            raise SolverError("right-hand side must hold one finite value per row")
+        self.rhs = rhs
+        self.iterations = self.dual_iterations = 0
+        if not self._refactor():
+            raise SolverError("basis is singular at the new right-hand side")
+        self._run_dual()
+        return self.solve()
 
     # ------------------------------------------------------------------
 
@@ -386,7 +380,7 @@ class _Engine:
         x_full = self.vals.copy()
         x_full[self.basis] = self.xB
 
-        A0, rhs0, lower0, upper0 = self.orig
+        A0, lower0, upper0 = self.orig
         x = x_full[: self.nstruct]
         if not self.exact:
             # snap drift of at most tol onto the bounds, from either side, so a bound reads
@@ -396,7 +390,7 @@ class _Engine:
         # .item() gives a Python float, or the Fraction itself in exact mode
         objective = np.asarray(np.dot(self.c, x)).item()
 
-        rp = float(max(0, (A0.dot(x) - rhs0).max()))
+        rp = float(max(0, (A0.dot(x) - self.rhs).max()))
         rb = float(max(0, (lower0 - x).max(), (x - upper0).max()))
         wrong = np.where(self.sign == 0, abs(d), -self.sign * d)
         wrong = wrong[self.movable]

@@ -1,5 +1,7 @@
 """Sequence parsing, reverse-complement matching, and matrix building."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,33 @@ class TestNormalize:
 
     def test_never_match_replaces_with_n(self):
         assert normalize_bases("ACXGT", policy=AmbiguityPolicy.NEVER_MATCH) == "ACNGT"
+
+    @staticmethod
+    def regex_reference(raw, policy, label):
+        """normalize_bases as one [^ACGT] regex over every record."""
+        bases = raw.upper()
+        if policy is AmbiguityPolicy.NEVER_MATCH:
+            return re.sub("[^ACGT]", "N", bases)
+        bad = re.search("[^ACGT]", bases)
+        if bad:
+            raise InputError(f"{label}: invalid base {bad.group()!r} at position {bad.start() + 1}")
+        return bases
+
+    # "ß" upper-cases to the two characters "SS", so positions count the upper-cased text
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw=st.one_of(st.text(alphabet="ACGTacgt", max_size=30), st.text(alphabet="ACGTacgtNX \t\néß", max_size=30)),
+        policy=st.sampled_from(AmbiguityPolicy),
+    )
+    def test_agrees_with_the_regex_reference(self, raw, policy):
+        try:
+            expect = self.regex_reference(raw, policy, "clone c1")
+        except InputError as err:
+            with pytest.raises(InputError) as got:
+                normalize_bases(raw, policy, "clone c1")
+            assert str(got.value) == str(err)
+        else:
+            assert normalize_bases(raw, policy, "clone c1") == expect
 
 
 class TestReverseComplement:

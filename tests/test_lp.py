@@ -453,6 +453,31 @@ class TestL1AvgLp:
             assert sol.z_star == pytest.approx(textbook.z_star, abs=1e-12)
 
 
+class TestSweepRightHandSide:
+    """Each s of a sweep is solved, and certified, against the right-hand side built at that s."""
+
+    SWEEPS = {"golden": [6, 2, 6, 6, 3], "random": list(range(5, 96, 5))}
+
+    @staticmethod
+    def instance(which):
+        return golden.instance() if which == "golden" else gen_random(100, 30, 0.5, 4242)
+
+    @pytest.mark.parametrize("form", [Formulation.MINLP, Formulation.AVGLP], ids=lambda f: f.value)
+    @pytest.mark.parametrize("which", list(SWEEPS))
+    def test_primal_residual_reads_the_rhs_of_each_s(self, form, which):
+        inst, s_values = self.instance(which), self.SWEEPS[which]
+        for s, sol in zip(s_values, solve_sweep(inst, s_values, form), strict=True):
+            problem = lp_module._solved_lp(inst, s, form, s_values[0])
+            assert sol.stats.residual_primal == float(max(0, (problem.A.dot(sol.stats.x) - problem.rhs).max()))
+
+    @pytest.mark.parametrize("form", [Formulation.MINLP, Formulation.AVGLP], ids=lambda f: f.value)
+    def test_a_repeated_s_takes_no_pivot(self, form):
+        sweep = solve_sweep(self.instance("golden"), self.SWEEPS["golden"], form)
+        # s = 6 solved right after s = 6
+        assert sweep[3].stats.iterations == 0
+        assert sweep[3].stats.basis == sweep[2].stats.basis
+
+
 class TestLpText:
     def test_min_lp_text(self, golden_instance):
         text = to_lp_text(build_lp(golden_instance, 6, Formulation.MINLP))

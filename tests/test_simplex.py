@@ -1,4 +1,4 @@
-"""Bounded-variable simplex engine on `<=` systems, from the slack basis or a warm basis."""
+"""Bounded-variable simplex engine on `<=` systems, from the slack basis and over a sequence of right-hand sides."""
 
 from fractions import Fraction
 
@@ -10,7 +10,7 @@ from balancedcover import lp
 from balancedcover.errors import SolverError
 from balancedcover.generators import gen_random
 from balancedcover.lp import Formulation
-from balancedcover.simplex import _Engine, solve_simplex
+from balancedcover.simplex import _Engine, solve_simplex, solve_simplex_sweep
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -25,6 +25,15 @@ def solve(c, A, b, lower=None, upper=None, **kw):
     if upper is None:
         upper = np.full(nvars, np.inf)
     return solve_simplex(c, A, b, np.asarray(lower, float), np.asarray(upper, float), **kw)
+
+
+def sweep(c, A, rhs_values, upper=None, **kw):
+    """The results of ``solve_simplex_sweep`` at each of ``rhs_values`` in turn, with lower bounds 0."""
+    A = np.asarray(A, dtype=float)
+    upper = np.full(A.shape[1], np.inf) if upper is None else np.asarray(upper, float)
+    first, *later = (np.asarray(b, dtype=float) for b in rhs_values)
+    engine = solve_simplex_sweep(np.asarray(c, float), A, first, np.zeros(A.shape[1]), upper, **kw)
+    return [next(engine)] + [engine.send(b) for b in later]
 
 
 class TestHandExamples:
@@ -123,10 +132,10 @@ class TestExactMode:
             problem = lp._solved_lp(instance, s, form, s)
             args = (problem.c, problem.A, problem.rhs, problem.lower, problem.upper, problem.maximize)
             at_upper = lp._crash_start(problem)
-            engine = _Engine(*args, False, None, at_upper, None)
+            engine = _Engine(*args, False, None, at_upper)
             engine.degen_limit = 0
             approx = engine.solve()
-            exact = _Engine(*args, True, None, at_upper, None).solve()
+            exact = _Engine(*args, True, None, at_upper).solve()
             assert (approx.basis, approx.at_upper, approx.iterations) == (exact.basis, exact.at_upper, exact.iterations)
 
     def test_exact_mode_starts_columns_at_upper(self):
@@ -193,11 +202,7 @@ class TestAgainstScipy:
 
 
 class TestWarmStart:
-    """A solve started from the optimal basis of the same LP with another right-hand side."""
-
-    @staticmethod
-    def start_of(res):
-        return {"basis": res.basis, "at_upper": res.at_upper}
+    """A sweep re-solves the same LP with another right-hand side from the last optimal basis."""
 
     def test_random_rhs_changes_match_cold_and_scipy(self):
         rng = np.random.default_rng(8675309)
@@ -211,7 +216,6 @@ class TestWarmStart:
             b = rng.integers(0, 9, size=nrows).astype(float)
             upper = rng.integers(1, 6, size=ncols).astype(float)
             maximize = bool(rng.random() < 0.5)
-            first = solve(c, A, b, upper=upper, maximize=maximize)
             b2 = b + rng.integers(-4, 5, size=nrows)
             ref = scipy_linprog(
                 (-1.0 if maximize else 1.0) * c,
@@ -222,11 +226,11 @@ class TestWarmStart:
             )
             if ref.status == 2:
                 with pytest.raises(SolverError, match="infeasible"):
-                    solve(c, A, b2, upper=upper, maximize=maximize, **self.start_of(first))
+                    sweep(c, A, [b, b2], upper=upper, maximize=maximize)
                 infeasible += 1
                 continue
             assert ref.status == 0
-            warm = solve(c, A, b2, upper=upper, maximize=maximize, **self.start_of(first))
+            _, warm = sweep(c, A, [b, b2], upper=upper, maximize=maximize)
             assert 0 <= warm.dual_iterations <= warm.iterations
             assert warm.objective == pytest.approx((-1.0 if maximize else 1.0) * ref.fun, abs=1e-7)
             assert warm.residual_primal <= 1e-9 and warm.residual_bound <= 1e-9
@@ -242,9 +246,8 @@ class TestWarmStart:
         assert warm_solved >= 100 and infeasible >= 10
 
     def test_same_rhs_needs_no_pivot(self):
-        args = ([1, 1], [[1, 2], [3, 1]], [4, 6])
-        first = solve(*args, maximize=True)
-        again = solve(*args, maximize=True, **self.start_of(first))
+        c, A, b = [1, 1], [[1, 2], [3, 1]], [4, 6]
+        first, again = sweep(c, A, [b, b], maximize=True)
         assert again.iterations == 0
         assert again.basis == first.basis
         assert np.array_equal(again.x, first.x)
@@ -252,24 +255,19 @@ class TestWarmStart:
     def test_dual_pivots_restore_feasibility(self):
         # max x + y s.t. x + 2y <= 4, 3x + y <= 6: optimum (1.6, 1.2); with the
         # first row's rhs at 1 the old basis is infeasible and y leaves
-        first = solve([1, 1], [[1, 2], [3, 1]], [4, 6], maximize=True)
-        res = solve([1, 1], [[1, 2], [3, 1]], [1, 6], maximize=True, **self.start_of(first))
+        _, res = sweep([1, 1], [[1, 2], [3, 1]], [[4, 6], [1, 6]], maximize=True)
         assert res.objective == pytest.approx(1.0)
         assert res.x == pytest.approx([1.0, 0.0])
         assert res.dual_iterations == res.iterations == 1
 
     def test_bad_starts_refused(self):
         args = ([1, 1], [[1, 2], [3, 1]], [4, 6])
-        for basis, at_upper in [((0,), ()), ((0, 0), ()), ((0, 4), ()), ((0, 1), (0,)), ((0, 1), (2,))]:
-            with pytest.raises(SolverError, match="start is not a basis"):
-                solve(*args, maximize=True, basis=basis, at_upper=at_upper)
-        # a slack column cannot sit at its infinite upper bound in the slack start either
+        # a slack column cannot sit at its infinite upper bound in the slack start
         with pytest.raises(SolverError, match="start is not a basis"):
             solve(*args, maximize=True, at_upper=(2,))
-        with pytest.raises(SolverError, match="singular"):
-            solve([1, 1], [[1, 1], [2, 2]], [4, 8], maximize=True, basis=(0, 1))
 
-    def test_exact_mode_refuses_a_basis_other_than_the_slack_basis(self):
-        first = solve([1, 1], [[1, 2], [3, 1]], [4, 6], maximize=True)
-        with pytest.raises(SolverError, match="exact mode starts from the slack basis"):
-            solve([1, 1], [[1, 2], [3, 1]], [4, 6], maximize=True, exact=True, **self.start_of(first))
+    def test_failed_refactorization_is_a_solver_error(self, monkeypatch):
+        # only a later right-hand side refactorizes before its first pivot
+        monkeypatch.setattr(_Engine, "_refactor", lambda self, inverse=True: False)
+        with pytest.raises(SolverError, match="singular"):
+            sweep([1, 1], [[1, 2], [3, 1]], [[4, 6], [1, 6]], maximize=True)
