@@ -24,7 +24,7 @@ rows and starts from the slack basis or, in a sweep, the last optimal basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -112,7 +112,6 @@ def build_lp(instance: Instance, s: int, formulation: Formulation) -> LpProblem:
     avg = formulation is Formulation.AVGLP
     nz = n if avg else 1
     A = np.zeros((2 * n + 1, m + nz))
-    rhs = np.zeros(2 * n + 1)
     probes = np.arange(n)
     zcol = m + (probes if avg else 0)
     if formulation is Formulation.MAXLP:
@@ -120,7 +119,6 @@ def build_lp(instance: Instance, s: int, formulation: Formulation) -> LpProblem:
         A[0 : 2 * n : 2, :m] = a.T
         A[1 : 2 * n : 2, :m] = a.T
         A[2 * probes, zcol] = -1.0
-        rhs[: 2 * n] = s / 2.0
         relations = ("<=", ">=") * n + ("=",)
     else:
         # z_j <= deg_j and z_j <= sum_i x_i - deg_j
@@ -130,7 +128,6 @@ def build_lp(instance: Instance, s: int, formulation: Formulation) -> LpProblem:
         relations = ("<=",) * (2 * n + 1)
     A[2 * probes + 1, zcol] = 1.0
     A[2 * n, :m] = 1.0
-    rhs[2 * n] = float(s)
     c = np.zeros(m + nz)
     c[m:] = 1.0
     lower = np.zeros(m + nz)
@@ -143,13 +140,13 @@ def build_lp(instance: Instance, s: int, formulation: Formulation) -> LpProblem:
         c=c,
         A=A,
         relations=relations,
-        rhs=rhs,
+        rhs=_rhs(formulation, s, n),
         lower=lower,
         upper=upper,
         var_names=tuple(f"x{i + 1}" for i in range(m)) + z_names,
         num_selection_vars=m,
         objective_scale=(1, n) if avg else (1, 1),
-        label=f"{formulation.value}(m={m}, n={n}, s={s})",
+        label=_label(formulation, m, n, s),
     )
 
 
@@ -180,7 +177,7 @@ def _build_l1_avglp(instance: Instance, s: int, crash_s: int) -> LpProblem:
     s = _check_budget(instance, s)
     a = instance.adjacency.astype(float)
     m, n = a.shape
-    sigma = np.where(2 * a[_crash_clones(m, crash_s)].sum(axis=0) >= crash_s, 1.0, -1.0)
+    sigma = _crash_signs(instance, crash_s)
     A = np.zeros((n + 2, m + n))
     A[:n, :m] = -sigma[:, None] * a.T
     A[np.arange(n), m + np.arange(n)] = -1.0
@@ -193,14 +190,39 @@ def _build_l1_avglp(instance: Instance, s: int, crash_s: int) -> LpProblem:
         c=c,
         A=A,
         relations=("<=",) * (n + 2),
-        rhs=np.concatenate([-sigma * (s / 2.0), [-float(s), float(s)]]),
+        rhs=_rhs(Formulation.AVGLP, s, n, sigma),
         lower=np.zeros(m + n),
         upper=np.concatenate([np.ones(m), np.full(n, np.inf)]),
         var_names=tuple(f"x{i + 1}" for i in range(m)) + tuple(f"k{j + 1}" for j in range(n)),
         num_selection_vars=m,
         objective_scale=(1, n),
-        label=f"{Formulation.AVGLP.value}(m={m}, n={n}, s={s})",
+        label=_label(Formulation.AVGLP, m, n, s),
     )
+
+
+def _crash_signs(instance: Instance, crash_s: int) -> np.ndarray:
+    """The L1 AvgLP's sigma_j: +1 where the ``_crash_clones`` at budget ``crash_s`` give 2 deg_j >= crash_s, else -1."""
+    a = instance.adjacency
+    return np.where(2 * a[_crash_clones(a.shape[0], crash_s)].sum(axis=0) >= crash_s, 1.0, -1.0)
+
+
+def _rhs(formulation: Formulation, s: int, n: int, sigma: np.ndarray | None = None) -> np.ndarray:
+    """The right-hand side at budget s, the only place s enters an LP over n probes.
+
+    Without ``sigma`` it is ``build_lp``'s: 2n probe rows at s/2 for MaxLP and
+    at 0 otherwise, then the budget row s.  With the probe signs ``sigma`` it
+    is the L1 AvgLP's (``_build_l1_avglp``): n probe rows -sigma_j s/2, then
+    the budget rows -s and s.
+    """
+    if sigma is not None:
+        return np.concatenate([-sigma * (s / 2.0), [-float(s), float(s)]])
+    rhs = np.full(2 * n + 1, s / 2.0 if formulation is Formulation.MAXLP else 0.0)
+    rhs[2 * n] = float(s)
+    return rhs
+
+
+def _label(formulation: Formulation, m: int, n: int, s: int) -> str:
+    return f"{formulation.value}(m={m}, n={n}, s={s})"
 
 
 def _crash_clones(m: int, s: int) -> list[int]:
@@ -308,8 +330,10 @@ def solve_sweep(instance: Instance, s_values, formulation: Formulation) -> list[
     s enters the LP only through the right-hand side (an AvgLP sweep keeps
     the first s's signs, see ``_build_l1_avglp``), so one simplex engine
     solves every s (``solve_simplex_sweep``): the first from the crash
-    basis, each later one from the previous optimal basis.  Each LP is built
-    when its s is handed to the engine.  Each z* equals a standalone
+    basis, each later one from the previous optimal basis.  Only the first
+    s's LP is built; each later s builds only its right-hand side (``_rhs``)
+    and is certified as the first LP with that right-hand side and a label
+    that names its s.  Each z* equals a standalone
     ``solve_formulation`` up to float rounding and passes the same residual
     certificate; x* may be another optimal vertex, which depends on the s
     values solved before it.  A MaxLP sweep is read off the MinLP sweep.
@@ -325,8 +349,11 @@ def solve_sweep(instance: Instance, s_values, formulation: Formulation) -> list[
         first.c, first.A, first.rhs, first.lower, first.upper, maximize=first.maximize, at_upper=_crash_start(first)
     )
     solutions = [_certified(first, next(engine))]
+    m, n = instance.adjacency.shape
+    sigma = _crash_signs(instance, s_values[0]) if formulation is Formulation.AVGLP else None
     for s in s_values[1:]:
-        problem = _solved_lp(instance, s, formulation, s_values[0])
+        s = _check_budget(instance, s)
+        problem = replace(first, rhs=_rhs(formulation, s, n, sigma), label=_label(formulation, m, n, s))
         solutions.append(_certified(problem, engine.send(problem.rhs)))
     return solutions
 

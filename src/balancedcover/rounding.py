@@ -18,7 +18,10 @@ Five variants, each tied to one relaxation and one objective:
 A run draws ``restarts`` independent trials and keeps the best final
 selection under the target objective (ties to the earliest trial).
 Trial t always sees the generator seeded from (seed, t), so rerunning
-with more restarts reproduces the earlier trials exactly.
+with more restarts reproduces the earlier trials exactly.  A block's
+trials may also carry seeds of their own: ``rounded_values`` runs one
+trial per seed, on the stream (seed, 0), which is how ``bench`` rounds
+all the trials of one (matrix, s, algorithm) cell at once.
 
 The trials run in blocks (at most ``_BLOCK_CELLS`` trial x clone cells
 each, and as many trial x probe cells, so memory does not grow with
@@ -305,13 +308,16 @@ def _round_block(
     x_star: np.ndarray,
     kind: ObjectiveKind,
     config: RoundingConfig,
-    trials: range,
+    streams: list[tuple[int, int]],
 ) -> tuple[np.ndarray, np.ndarray, list[RestartOutcome]]:
-    """Run ``trials`` stage by stage: their final selections (one 0/1 row each), integer scores and outcomes."""
+    """Run one trial per (seed, trial) stream, stage by stage: their final selections (one 0/1 row each), integer
+    scores and outcomes.  Each trial draws from ``_trial_rng(seed, trial)``; ``config``'s seed and restarts are not read.
+    """
     algorithm = config.algorithm
-    rngs, derived = zip(*(_trial_rng(config.seed, t) for t in trials))
+    rngs, derived = zip(*(_trial_rng(seed, t) for seed, t in streams))
+    trials = [t for _, t in streams]
     m, n = af.shape
-    sel = np.empty((len(trials), m), dtype=bool)
+    sel = np.empty((len(streams), m), dtype=bool)
     u = np.empty(m)
     for row, rng in zip(sel, rngs):
         np.less(rng.random(out=u), probs, out=row)
@@ -353,6 +359,35 @@ def _round_block(
     return sel, final, outcomes
 
 
+def _round_blocks(af: np.ndarray, s: int, lp_solution: FractionalSolution, config: RoundingConfig, streams):
+    """Round one trial per (seed, trial) stream off ``lp_solution``'s x*, in blocks of at most ``_BLOCK_CELLS``
+    trial x clone (and trial x probe) cells: yields ``_round_block``'s result for each block, in stream order.
+
+    ``af`` is the instance's adjacency in float64.
+    """
+    x_star = np.clip(np.asarray(lp_solution.x, dtype=float), 0.0, 1.0)
+    probs, _ = _probabilities(config.algorithm, x_star, float(lp_solution.z_star), af.shape[1])
+    kind = ALGORITHM_OBJECTIVE[config.algorithm]
+    block = max(1, _BLOCK_CELLS // max(af.shape))
+    for first in range(0, len(streams), block):
+        yield _round_block(af, s, probs, x_star, kind, config, streams[first : first + block])
+
+
+def rounded_values(af: np.ndarray, s: int, lp_solution: FractionalSolution, algorithm: Algorithm, seeds) -> list[float]:
+    """One trial per seed, rounded off ``lp_solution`` with the default pad and repair: each trial's final value.
+
+    Trial k draws from the stream (seeds[k], 0), so its value is the ``best.value`` of
+    ``solve_end_to_end(instance, s, RoundingConfig(algorithm, seed=seeds[k]), lp_solution)``,
+    read off its integer score as score / denominator.  ``af`` is the instance's adjacency in
+    float64, which a caller rounding many budgets of one matrix makes once; ``lp_solution``
+    must be the relaxation ``algorithm`` rounds, at a budget s that the instance admits.
+    """
+    config = RoundingConfig(algorithm)
+    den = objective_denominator(ALGORITHM_OBJECTIVE[algorithm], af.shape[1])
+    blocks = _round_blocks(af, s, lp_solution, config, [(seed, 0) for seed in seeds])
+    return [score / den for _, scores, _ in blocks for score in scores.tolist()]
+
+
 def _lp_for(instance: Instance, s: int, algorithm: Algorithm, lp_solution: FractionalSolution | None) -> FractionalSolution:
     want = ALGORITHM_FORMULATION[algorithm]
     if lp_solution is None:
@@ -382,26 +417,21 @@ def solve_end_to_end(
     lp_solution = _lp_for(instance, s, config.algorithm, lp_solution)
     s = _check_budget(instance, s)
     kind = ALGORITHM_OBJECTIVE[config.algorithm]
-    x_star = np.clip(np.asarray(lp_solution.x, dtype=float), 0.0, 1.0)
-    probs, eps_lambda = _probabilities(config.algorithm, x_star, float(lp_solution.z_star), instance.num_probes)
-
     af = instance.adjacency.astype(np.float64)
-    block = max(1, _BLOCK_CELLS // max(af.shape))
+    streams = [(config.seed, t) for t in range(config.restarts)]
     best_row, best_score, best_trial = None, 0, -1
     outcomes = []
-    for first in range(0, config.restarts, block):
-        trials = range(first, min(first + block, config.restarts))
-        sel, scores, block_outcomes = _round_block(af, s, probs, x_star, kind, config, trials)
-        outcomes += block_outcomes
+    for sel, scores, block_outcomes in _round_blocks(af, s, lp_solution, config, streams):
         # every trial's score has the same denominator; ties keep the earliest
         i = int(np.argmax(scores) if kind.maximize else np.argmin(scores))
         if best_row is None or (scores[i] > best_score if kind.maximize else scores[i] < best_score):
-            best_row, best_score, best_trial = sel[i], scores[i], trials[i]
+            best_row, best_score, best_trial = sel[i], scores[i], len(outcomes) + i
+        outcomes += block_outcomes
     return RoundingReport(
         config=config,
         objective=kind,
         lp=lp_solution,
-        epsilon_or_lambda=eps_lambda,
+        epsilon_or_lambda=shrink_parameter(config.algorithm, float(lp_solution.z_star), instance.num_probes),
         outcomes=tuple(outcomes),
         best=evaluate(instance, np.flatnonzero(best_row).tolist(), s),
         best_trial=best_trial,

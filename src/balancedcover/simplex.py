@@ -47,8 +47,9 @@ That start must be primal feasible, every slack nonnegative; a start
 that violates a row raises SolverError naming the row.  Only the primal
 loop runs from it.
 
-``solve_simplex_sweep`` solves one float LP for a sequence of
-right-hand sides on one engine.  The first solve is the one above; for
+``solve_simplex_sweep`` solves one LP for a sequence of right-hand
+sides on one engine, and ``solve_simplex`` is its first step.  The
+first solve is the one above, in either mode; for
 each later one the engine swaps in the new right-hand side, refactorizes
 the optimal basis, which stays dual feasible when only the right-hand
 side moves, and runs dual simplex pivots until every basic value lies
@@ -60,16 +61,17 @@ that row (ties to the lowest column).  There is no bound flipping.  Most
 reduced costs of these LPs are 0, and with the true costs such ties made
 the dual simplex cycle until the iteration limit, so the dual phase
 prices with each nonbasic cost moved away from 0 on its dual feasible
-side by U(1e-7, 1e-6) * (1 + |c_j|), drawn from a fixed-seed generator,
-as cost_j + sign_j * delta_j.  Its eligible columns are those with
-sign_j * alpha_j on the restoring side.  The primal loop then runs on
-the true costs: it confirms optimality, or pivots on the few reduced
-costs the perturbation left on the wrong side.  A sweep has no exact
-mode: the perturbation is a float.
+side by U(1e-7, 1e-6) * (1 + |c_j|), drawn once per engine from a
+fixed-seed generator, as cost_j + sign_j * delta_j.  Its eligible
+columns are those with sign_j * alpha_j on the restoring side.  The
+primal loop then runs on the true costs: it confirms optimality, or
+pivots on the few reduced costs the perturbation left on the wrong side.  Only the first solve
+of a sweep may be exact: the perturbation is a float.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,22 +110,26 @@ class SimplexResult:
 def solve_simplex(
     c, A, rhs, lower, upper, *, maximize: bool = False, exact: bool = False, max_iterations: int | None = None, at_upper=()
 ) -> SimplexResult:
-    """Solve ``A x <= rhs`` from the slack basis.
+    """Solve ``A x <= rhs`` from the slack basis: the first step of ``solve_simplex_sweep``."""
+    return next(
+        solve_simplex_sweep(
+            c, A, rhs, lower, upper, maximize=maximize, exact=exact, max_iterations=max_iterations, at_upper=at_upper
+        )
+    )
 
-    ``at_upper`` lists the structural columns that start at their upper bound.
-    ``iterations`` counts every pivot and bound flip.
+
+def solve_simplex_sweep(
+    c, A, rhs, lower, upper, *, maximize: bool = False, exact: bool = False, max_iterations: int | None = None, at_upper=()
+):
+    """Solve one LP for a sequence of right-hand sides, handed in one at a time.
+
+    ``next`` on the returned generator gives the solve at ``rhs`` from the slack basis, where
+    ``at_upper`` lists the structural columns that start at their upper bound and
+    ``iterations`` counts every pivot and bound flip.  Each ``send(rhs)`` after it gives the
+    float result at that right-hand side (``_Engine.resolve``), where ``dual_iterations``
+    counts the dual pivots among ``iterations``; an ``exact`` engine takes no ``send``.
     """
-    return _Engine(c, A, rhs, lower, upper, maximize, exact, max_iterations, at_upper).solve()
-
-
-def solve_simplex_sweep(c, A, rhs, lower, upper, *, maximize: bool = False, at_upper=()):
-    """Solve one float LP for a sequence of right-hand sides, handed in one at a time.
-
-    ``next`` on the returned generator gives ``solve_simplex``'s result at ``rhs``; each
-    ``send(rhs)`` after it gives the result at that right-hand side (``_Engine.resolve``),
-    where ``dual_iterations`` counts the dual pivots among ``iterations``.
-    """
-    engine = _Engine(c, A, rhs, lower, upper, maximize, False, None, at_upper)
+    engine = _Engine(c, A, rhs, lower, upper, maximize, exact, max_iterations, at_upper)
     rhs = yield engine.solve()
     while True:
         rhs = yield engine.resolve(rhs)
@@ -221,6 +227,8 @@ class _Engine:
 
         The iteration counts, and with them ``_tick``'s refactorization clock, restart at 0.
         """
+        if self.exact:
+            raise SolverError("an exact solve takes one right-hand side; a sweep has no exact mode")
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.nrows,) or not np.isfinite(rhs).all():
             raise SolverError("right-hand side must hold one finite value per row")
@@ -278,9 +286,9 @@ class _Engine:
     def _run_dual(self):
         """Dual simplex pivots from a dual feasible basis until it is primal feasible."""
         # most reduced costs are 0 (only the z columns carry a cost), and ties at 0 let the dual
-        # simplex cycle: move each nonbasic cost away from 0 on its dual feasible side
-        delta = np.random.default_rng(0).uniform(1e-7, 1e-6, self.cost.size) * (1.0 + np.abs(self.cost))
-        cost = self.cost + self.sign * delta
+        # simplex cycle: move each nonbasic cost away from 0 on its dual feasible side, by the
+        # engine's one draw; only the sides (sign) change between right-hand sides
+        cost = self.cost + self.sign * self._perturbation
         d = self._price(cost)
         while True:
             d = self._tick(cost, d)
@@ -306,6 +314,15 @@ class _Engine:
             d = d - d[e] * (alpha / alpha[e])
             self.iterations += 1
             self.dual_iterations += 1
+
+    @functools.cached_property
+    def _perturbation(self):
+        """The dual phase's cost moves U(1e-7, 1e-6) * (1 + |cost_j|), drawn once per engine.
+
+        The costs and the fixed-seed draw do not change over a sweep, so every ``resolve``
+        prices with the same moves.
+        """
+        return np.random.default_rng(0).uniform(1e-7, 1e-6, self.cost.size) * (1.0 + np.abs(self.cost))
 
     def _tick(self, cost, d):
         """Enforce the iteration limit; every 512 iterations refactorize (float) and reprice ``d``."""

@@ -13,14 +13,21 @@ import pytest
 
 import golden
 import balancedcover
-from balancedcover import cli, lp
+from balancedcover import cli, lp, rounding, simplex
 from balancedcover.cli import main
 from balancedcover.core import ObjectiveKind
 from balancedcover.formats import format_matrix, names_path_for, parse_matrix, read_matrix, write_matrix
 from balancedcover.generators import gen_random
 from balancedcover.ingest import matches
-from balancedcover.lp import solve_formulation
-from balancedcover.rounding import ALGORITHM_FORMULATION, Algorithm, derive_trial_seed
+from balancedcover.lp import Formulation, solve_formulation, solve_sweep
+from balancedcover.rounding import (
+    ALGORITHM_FORMULATION,
+    ALGORITHM_OBJECTIVE,
+    Algorithm,
+    RoundingConfig,
+    derive_trial_seed,
+    solve_end_to_end,
+)
 
 
 @pytest.fixture
@@ -529,6 +536,72 @@ class TestBench:
         assert [(r["s"], r["algorithm"], r["trial"], r["seed"]) for r in rows] == expected
         # lpValue is the z* of a standalone cold solve, though the bench warm-starts
         assert [row["lpValue"] for row in rows] == [f"{z:.10g}" for z in cold]
+
+    @staticmethod
+    def every_alg_argv(out, trials, *densities):
+        argv = ["bench", "--size", "20x6", "--s-range", "2:18:4", "--trials", str(trials), "--seed", "11"]
+        argv += [flag for d in densities for flag in ("--density", str(d))]
+        return argv + [flag for alg in Algorithm for flag in ("--alg", alg.value)] + ["--out", str(out)]
+
+    @staticmethod
+    def without_wall_time(path):
+        with path.open() as fh:
+            return [{k: v for k, v in row.items() if k != "wallTimeMs"} for row in csv.DictReader(fh)]
+
+    def test_rows_match_one_restart_solves_off_the_sweep(self, tmp_path, capsys):
+        # a cell's trials round in one block; each row's value is still the best.value of a
+        # one-restart solve_end_to_end with the row's seed, off the sweep's LP solution at its s
+        out = tmp_path / "bench.csv"
+        assert main(self.every_alg_argv(out, 3, 0.3, 0.6)) == 0
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        s_values = list(range(2, 19, 4))
+        assert len(rows) == 2 * len(s_values) * len(Algorithm) * 3
+        for counter, density in enumerate((0.3, 0.6)):
+            inst = gen_random(20, 6, density, cli._mix_seed(11, counter))
+            sweeps = {f: solve_sweep(inst, s_values, f) for f in Formulation}
+            for row in rows:
+                if row["matrixId"] != f"m20n6d{density}i{counter}":
+                    continue
+                alg, s = Algorithm(row["algorithm"]), int(row["s"])
+                lp_solution = sweeps[ALGORITHM_FORMULATION[alg]][s_values.index(s)]
+                config = RoundingConfig(alg, seed=int(row["seed"]), restarts=1)
+                report = solve_end_to_end(inst, s, config, lp_solution=lp_solution)
+                assert row["roundedValue"] == f"{report.best.value(ALGORITHM_OBJECTIVE[alg]):.10g}"
+
+    def test_a_cell_split_into_blocks_writes_the_same_rows(self, tmp_path, capsys, monkeypatch):
+        whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
+        assert main(self.every_alg_argv(whole, 7, 0.5)) == 0
+        # at most two 20-clone trials per block: each cell of seven trials runs in four blocks
+        monkeypatch.setattr(rounding, "_BLOCK_CELLS", 2 * 20)
+        sizes = []
+        real = rounding._round_block
+
+        def spy(*args):
+            sizes.append(len(args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(rounding, "_round_block", spy)
+        assert main(self.every_alg_argv(split, 7, 0.5)) == 0
+        assert sizes == [2, 2, 2, 1] * (5 * len(Algorithm))
+        assert self.without_wall_time(split) == self.without_wall_time(whole)
+        assert split.with_name("split.csv.summary").read_text() == whole.with_name("whole.csv.summary").read_text()
+
+    def test_bad_residual_at_a_later_s_exits_4_naming_it(self, tmp_path, capsys, monkeypatch):
+        # the third s after the first, s = 14, is certified against its own right-hand side and label
+        real = simplex._Engine.resolve
+        calls = []
+
+        def resolve(engine, rhs):
+            calls.append(rhs)
+            res = real(engine, rhs)
+            return dataclasses.replace(res, residual_bound=1.0) if len(calls) == 3 else res
+
+        monkeypatch.setattr(simplex._Engine, "resolve", resolve)
+        assert main(self.every_alg_argv(tmp_path / "bench.csv", 1, 0.5)) == 4
+        err = capsys.readouterr().err
+        assert "minlp(m=20, n=6, s=14): bound residual 1.000e+00" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("bad", ["out_dir_missing", "summary_is_directory"])
     def test_unwritable_out_refused_before_any_solve(self, tmp_path, capsys, monkeypatch, bad):

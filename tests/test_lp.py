@@ -22,6 +22,7 @@ from balancedcover import (
     to_lp_text,
 )
 from balancedcover import lp as lp_module
+from balancedcover import simplex
 from balancedcover.errors import SolverError
 from balancedcover.lp import FractionalSolution, maxlp_from_minlp
 from conftest import random_instance
@@ -469,6 +470,38 @@ class TestSweepRightHandSide:
         for s, sol in zip(s_values, solve_sweep(inst, s_values, form), strict=True):
             problem = lp_module._solved_lp(inst, s, form, s_values[0])
             assert sol.stats.residual_primal == float(max(0, (problem.A.dot(sol.stats.x) - problem.rhs).max()))
+
+    @pytest.mark.parametrize("form", [Formulation.MINLP, Formulation.AVGLP], ids=lambda f: f.value)
+    def test_later_lps_are_the_first_with_their_own_rhs_and_label(self, form, monkeypatch):
+        inst = gen_random(24, 7, 0.5, 31)
+        s_values = list(range(1, 25))
+        certified = []
+        real = lp_module._certified
+        monkeypatch.setattr(lp_module, "_certified", lambda problem, res: certified.append(problem) or real(problem, res))
+        solve_sweep(inst, s_values, form)
+        first = certified[0]
+        for s, problem in zip(s_values, certified, strict=True):
+            built = lp_module._solved_lp(inst, s, form, s_values[0])
+            assert problem.rhs.dtype == built.rhs.dtype and problem.rhs.tobytes() == built.rhs.tobytes()
+            assert problem.label == built.label == f"{form.value}(m=24, n=7, s={s})"
+            # nothing but the right-hand side and the label is built again
+            assert all(getattr(problem, f) is getattr(first, f) for f in ("A", "c", "lower", "upper"))
+
+    @pytest.mark.parametrize("form", [Formulation.MINLP, Formulation.AVGLP], ids=lambda f: f.value)
+    def test_a_bad_residual_at_a_later_s_names_that_s(self, form, monkeypatch):
+        real = simplex._Engine.resolve
+        calls = []
+
+        def resolve(engine, rhs):
+            calls.append(rhs)
+            res = real(engine, rhs)
+            return dataclasses.replace(res, residual_primal=1.0) if len(calls) == 4 else res
+
+        monkeypatch.setattr(simplex._Engine, "resolve", resolve)
+        # the fourth s after the first
+        with pytest.raises(SolverError, match=rf"^{form.value}\(m=24, n=7, s=9\): primal residual 1\.000e\+00"):
+            solve_sweep(gen_random(24, 7, 0.5, 31), [1, 3, 5, 7, 9, 11], form)
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("form", [Formulation.MINLP, Formulation.AVGLP], ids=lambda f: f.value)
     def test_a_repeated_s_takes_no_pivot(self, form):

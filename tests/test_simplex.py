@@ -266,6 +266,23 @@ class TestWarmStart:
         with pytest.raises(SolverError, match="start is not a basis"):
             solve(*args, maximize=True, at_upper=(2,))
 
+    def test_exact_mode_solves_the_first_rhs_only(self):
+        # solve_simplex is the sweep's first step, in either mode
+        args = (np.array([1.0, 1.0]), np.array([[1.0, 2.0], [3.0, 1.0]]), np.array([4.0, 6.0]), np.zeros(2), np.full(2, 5.0))
+        engine = solve_simplex_sweep(*args, maximize=True, exact=True)
+        first = next(engine)
+        assert (first.objective, list(first.x)) == (Fraction(14, 5), [Fraction(8, 5), Fraction(6, 5)])
+        with pytest.raises(SolverError, match="no exact mode"):
+            engine.send(np.array([1.0, 6.0]))
+
+    def test_dual_perturbation_is_drawn_once_per_engine(self, monkeypatch):
+        draws = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: draws.append(args) or real(*args))
+        results = sweep([1, 1], [[1, 2], [3, 1]], [[4, 6], [1, 6], [4, 6], [1, 6]], maximize=True)
+        assert [r.dual_iterations for r in results] == [0, 1, 1, 1]
+        assert draws == [(0,)]
+
     def test_failed_refactorization_is_a_solver_error(self, monkeypatch):
         # only a later right-hand side refactorizes before its first pivot
         monkeypatch.setattr(_Engine, "_refactor", lambda self, inverse=True: False)
