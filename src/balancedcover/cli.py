@@ -20,8 +20,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .core import ObjectiveKind
 from .errors import BudgetExceededError, InputError, SolverError
 from .formats import (
@@ -323,7 +321,7 @@ def cmd_bench(args) -> int:
     for matrix_counter, ((m, n), dens) in enumerate(itertools.product(sizes, densities)):
         matrix_seed = _mix_seed(seed, matrix_counter)
         inst = gen_random(m, n, dens, matrix_seed)
-        af = inst.adjacency.astype(np.float64)
+        af = inst.adjacency.astype(float)
         matrix_id = f"m{m}n{n}d{dens}i{matrix_counter}"
         # one warm-started sweep over s per LP the algorithms need; MaxLP is read off
         # the MinLP sweep, so rcm and rdm share it
